@@ -12,14 +12,17 @@ Run with::
 The ``-s`` flag shows the per-experiment summary tables that mirror what the
 paper reports qualitatively.
 
-Every bench run also persists the measured perf trajectory: each bench module
+A bench run also persists the measured perf trajectory: each bench module
 (an "area": the module name minus its ``test_bench_`` prefix) gets a
 ``BENCH_<area>.json`` file at the repository root holding the wall-clock of
 every passed test plus whatever richer numbers the module published through
 :func:`record_bench` (records/sec, cache hit rates, query latencies, monitor
 overhead).  The files are committed, so the repo carries a machine-readable
-history of how fast it was at each PR — CI regenerates and uploads them as
-workflow artifacts.
+history of how fast it was at each PR — CI regenerates the files of the
+benches it runs for real and uploads those as workflow artifacts.  They are
+written only when every path given to pytest lies under ``benchmarks/``: a
+root ``pytest`` run also collects the benches, and must leave the committed
+files as they are.
 """
 
 from __future__ import annotations
@@ -135,7 +138,19 @@ def pytest_runtest_makereport(item, call):
         )
 
 
+def _invoked_on_benchmarks_only(config) -> bool:
+    """True when every path (or node id) given to pytest lies under benchmarks/."""
+    bench_dir = Path(__file__).resolve().parent
+    for arg in config.args:
+        path = (Path(config.invocation_params.dir) / arg.split("::")[0]).resolve()
+        if path != bench_dir and bench_dir not in path.parents:
+            return False
+    return bool(config.args)
+
+
 def pytest_sessionfinish(session, exitstatus):
+    if not _invoked_on_benchmarks_only(session.config):
+        return
     for area, entry in sorted(_BENCH_RESULTS.items()):
         if not entry["tests"] and not entry["metrics"]:
             continue

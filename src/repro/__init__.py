@@ -34,7 +34,7 @@ Quickstart::
 """
 
 from repro.core.config import VitaConfig, config_from_dict, config_from_json
-from repro.core.pipeline import GenerationResult, VitaPipeline
+from repro.core.pipeline import VitaPipeline
 from repro.core.toolkit import Vita
 from repro.live.monitors import Monitor
 from repro.obs import MetricsRegistry, Telemetry, Tracer
@@ -59,7 +59,6 @@ __all__ = [
     "Vita",
     "VitaConfig",
     "VitaPipeline",
-    "GenerationResult",
     "config_from_dict",
     "config_from_json",
     "DeviceType",

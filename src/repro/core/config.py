@@ -108,6 +108,11 @@ class ObjectConfig:
             raise ConfigurationError("objects.routing must be 'length' or 'time'")
         if self.arrival_rate_per_minute < 0:
             raise ConfigurationError("objects.arrival_rate_per_minute must be non-negative")
+        # Local import: the mobility layer imports repro.core.  The factory
+        # owns the accepted names, so an unknown one fails here, not later.
+        from repro.mobility.distributions import distribution_by_name
+
+        distribution_by_name(self.distribution)
 
 
 @dataclass

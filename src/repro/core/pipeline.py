@@ -1,17 +1,21 @@
-"""The three-layer generation pipeline (Figure 1 of the paper).
+"""Declarative generation runs: one configuration, one streamed warehouse.
 
-Given a :class:`~repro.core.config.VitaConfig`, the pipeline runs:
+Given a :class:`~repro.core.config.VitaConfig`,
+:meth:`VitaPipeline.run_streaming` runs the layer chain of Figure 1 of the
+paper:
 
 1. **Infrastructure Layer** — obtain the host indoor environment (synthetic
    building or IFC file), optionally decompose irregular partitions and run
-   semantic extraction, then deploy the configured positioning devices;
+   semantic extraction, deploy the configured positioning devices and, for
+   fingerprinting, survey the radio map;
 2. **Moving Object Layer** — generate moving objects and their raw trajectory
    data at the trajectory sampling frequency;
 3. **Positioning Layer** — generate raw RSSI measurements at the RSSI sampling
    frequency and derive positioning data with the chosen method.
 
-All generated data is stored into a :class:`~repro.storage.repositories.DataWarehouse`
-so that the Data Stream APIs can query it afterwards.
+Layers 2 and 3 run shard by shard (:mod:`repro.core.streaming`) and every
+record streams into a :class:`~repro.storage.repositories.DataWarehouse` in
+bounded batches, so that the Data Stream APIs can query it afterwards.
 """
 
 from __future__ import annotations
@@ -31,54 +35,23 @@ from repro.core.streaming import (
     ProgressCallback,
     ShardContext,
     StreamingWriter,
-    arrival_process_for,
     auto_shard_count,
     build_rssi_config,
     derive_seed,
     iter_shard_outputs,
-    object_layer_components,
     plan_shards,
     resolve_master_seed,
+    survey_radio_map,
 )
-from repro.core.types import PositioningMethod, PositioningRecord, ProbabilisticPositioningRecord
+from repro.core.types import PositioningMethod
 from repro.devices.controller import DeviceDeploymentRequest, PositioningDeviceController
 from repro.devices.deployment import deployment_model_by_name
 from repro.geometry.decompose import DecompositionConfig
 from repro.ifc.extractor import DBIProcessor, DBIProcessorOptions
-from repro.mobility.controller import MovingObjectController, ObjectGenerationConfig
-from repro.mobility.engine import SimulationResult
 from repro.obs import Telemetry
-from repro.positioning.controller import PositioningConfig, PositioningMethodController
 from repro.positioning.fingerprinting import RadioMap
-from repro.rssi.measurement import RSSIGenerationConfig, RSSIGenerator
 from repro.spatial import SpatialService, merge_stats
 from repro.storage.repositories import DataWarehouse
-
-
-@dataclass
-class GenerationResult:
-    """Everything a full pipeline run produced."""
-
-    config: VitaConfig
-    building: Building
-    warehouse: DataWarehouse
-    simulation: SimulationResult
-    positioning_output: list
-    radio_map: Optional[RadioMap] = None
-    timings: Dict[str, float] = field(default_factory=dict)
-    #: Spatial-service cache counters of the run (route/LOS/locate/table).
-    cache_stats: Dict[str, int] = field(default_factory=dict)
-    #: The run's :meth:`~repro.obs.Telemetry.snapshot` (``{"enabled": False}``
-    #: unless the configuration's ``telemetry:`` section enables it).
-    telemetry: Dict[str, Any] = field(default_factory=lambda: {"enabled": False})
-
-    @property
-    def summary(self) -> Dict[str, float]:
-        """Counts plus per-layer wall-clock timings and cache counters."""
-        summary: Dict[str, float] = {key: float(value) for key, value in self.warehouse.summary().items()}
-        summary.update({f"seconds_{name}": value for name, value in self.timings.items()})
-        summary.update({f"cache_{name}": float(value) for name, value in self.cache_stats.items()})
-        return summary
 
 
 @dataclass
@@ -122,11 +95,10 @@ class StreamingReport:
 
 @dataclass
 class StreamingGenerationResult:
-    """Everything a streaming pipeline run produced.
+    """Everything a pipeline run produced.
 
-    Unlike :class:`GenerationResult` there is no materialised simulation or
-    positioning output — every record already lives in the warehouse, which
-    is the point of the streaming path.
+    There is no in-memory simulation or positioning output: every record
+    already lives in the warehouse.
     """
 
     config: VitaConfig
@@ -138,18 +110,6 @@ class StreamingGenerationResult:
     #: The finalized :class:`~repro.live.LiveReport` when standing monitors
     #: were attached to the run (``None`` otherwise).
     live: Optional[Any] = None
-
-    @property
-    def summary(self) -> Dict[str, float]:
-        """Counts plus per-layer timings, mirroring :class:`GenerationResult`."""
-        summary: Dict[str, float] = {
-            key: float(value) for key, value in self.warehouse.summary().items()
-        }
-        summary.update({f"seconds_{name}": value for name, value in self.report.timings.items()})
-        summary.update(
-            {f"cache_{name}": float(value) for name, value in self.report.cache_stats.items()}
-        )
-        return summary
 
 
 class VitaPipeline:
@@ -209,175 +169,7 @@ class VitaPipeline:
         return SpatialService(building, devices=devices, config=self.config.spatial)
 
     # ------------------------------------------------------------------ #
-    # Layer 2: Moving objects
-    # ------------------------------------------------------------------ #
-    def generate_objects(
-        self, building: Building, spatial: Optional[SpatialService] = None
-    ) -> SimulationResult:
-        """Generate moving objects and their raw trajectories."""
-        objects = self.config.objects
-        distribution, intention, behavior, crowd_model = object_layer_components(objects)
-        arrival_process = arrival_process_for(objects.arrival_rate_per_minute)
-        controller = MovingObjectController(
-            building,
-            config=ObjectGenerationConfig(
-                count=objects.count,
-                min_speed=objects.min_speed,
-                max_speed=objects.max_speed,
-                min_lifespan=objects.min_lifespan,
-                max_lifespan=objects.max_lifespan,
-                duration=objects.duration,
-                sampling_period=objects.sampling_period,
-                time_step=objects.time_step,
-                routing_metric=objects.routing,
-                seed=objects.seed,
-            ),
-            distribution=distribution,
-            arrival_process=arrival_process,
-            intention=intention,
-            behavior=behavior,
-            crowd_model=crowd_model,
-            spatial=spatial,
-        )
-        return controller.generate()
-
-    # ------------------------------------------------------------------ #
-    # Layer 3: RSSI + positioning
-    # ------------------------------------------------------------------ #
-    def _rssi_config(self) -> RSSIGenerationConfig:
-        return build_rssi_config(self.config.rssi, self.config.rssi.seed)
-
-    def generate_rssi(
-        self,
-        building: Building,
-        devices,
-        simulation: SimulationResult,
-        spatial: Optional[SpatialService] = None,
-    ):
-        """Generate raw RSSI measurements for the simulated trajectories."""
-        generator = RSSIGenerator(building, devices, self._rssi_config(), spatial=spatial)
-        return generator.generate(simulation.trajectories)
-
-    def generate_positioning(
-        self,
-        building: Building,
-        devices,
-        rssi_records,
-        spatial: Optional[SpatialService] = None,
-    ):
-        """Derive positioning data with the configured method."""
-        positioning = self.config.positioning
-        radio_map = None
-        if positioning.method is PositioningMethod.FINGERPRINTING:
-            survey_generator = RSSIGenerator(
-                building, devices, self._rssi_config(), spatial=spatial
-            )
-            radio_map = RadioMap.survey_grid(
-                building,
-                survey_generator,
-                spacing=positioning.radio_map_spacing,
-                samples_per_location=positioning.radio_map_samples,
-            )
-        controller = PositioningMethodController(
-            building,
-            devices,
-            PositioningConfig(
-                method=positioning.method,
-                sampling_period=positioning.sampling_period,
-                fingerprinting_algorithm=positioning.algorithm,
-                knn_k=positioning.knn_k,
-                bayes_top_k=positioning.bayes_top_k,
-                min_devices=positioning.min_devices,
-                rssi_threshold=positioning.rssi_threshold,
-            ),
-            radio_map=radio_map,
-            spatial=spatial,
-        )
-        return controller.generate(rssi_records), radio_map
-
-    # ------------------------------------------------------------------ #
-    # Full run
-    # ------------------------------------------------------------------ #
-    def run(self, *, telemetry: Optional[Telemetry] = None) -> GenerationResult:
-        """Execute all three layers and collect the output in a warehouse."""
-        timings: Dict[str, float] = {}
-        if telemetry is None:
-            telemetry = Telemetry.from_config(self.config.telemetry, id_prefix="p:")
-        tracer = telemetry.tracer
-        root = tracer.span("pipeline.run")
-        root.__enter__()
-
-        start = time.perf_counter()
-        with tracer.span("infrastructure"):
-            building = self.build_environment()
-            device_controller = self.deploy_devices(building)
-            devices = list(device_controller.devices.values())
-            # One spatial service serves every layer of the run: routes planned
-            # for the engine, sight lines analysed for the RSSI noise model and
-            # locations resolved for positioning all share the same caches.
-            spatial = self.build_spatial(building, devices)
-        timings["infrastructure"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        with tracer.span("phase.moving_objects"):
-            simulation = self.generate_objects(building, spatial=spatial)
-        timings["moving_objects"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        with tracer.span("phase.rssi"):
-            rssi_records = self.generate_rssi(building, devices, simulation, spatial=spatial)
-        timings["rssi"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        with tracer.span("phase.positioning"):
-            positioning_output, radio_map = self.generate_positioning(
-                building, devices, rssi_records, spatial=spatial
-            )
-        timings["positioning"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        with tracer.span("storage"):
-            warehouse = DataWarehouse.from_config(self.config.storage)
-            warehouse.attach_metrics(telemetry.metrics)
-            # A pipeline run owns its warehouse: reusing an existing database
-            # file replaces its contents, so the summary always describes this
-            # run rather than an accumulation of appended reruns.
-            warehouse.clear()
-            warehouse.devices.add_many(device_controller.device_records())
-            warehouse.trajectories.add_trajectory_set(simulation.trajectories)
-            warehouse.rssi.add_many(rssi_records)
-            self._store_positioning(warehouse, positioning_output)
-            warehouse.flush()
-        timings["storage"] = time.perf_counter() - start
-
-        cache_stats = spatial.cache_stats()
-        if telemetry.enabled:
-            metrics = telemetry.metrics
-            metrics.counter("generated.objects").inc(simulation.object_count)
-            metrics.counter("generated.records.trajectory").inc(
-                len(simulation.trajectories.all_records())
-            )
-            metrics.counter("generated.records.rssi").inc(len(rssi_records))
-            metrics.counter("generated.records.positioning").inc(len(positioning_output))
-            spatial.record_metrics(metrics)
-            for phase, seconds in timings.items():
-                metrics.histogram(f"pipeline.phase_seconds.{phase}").observe(seconds)
-        root.__exit__(None, None, None)
-
-        return GenerationResult(
-            config=self.config,
-            building=building,
-            warehouse=warehouse,
-            simulation=simulation,
-            positioning_output=positioning_output,
-            radio_map=radio_map,
-            timings=timings,
-            cache_stats=cache_stats,
-            telemetry=telemetry.snapshot(),
-        )
-
-    # ------------------------------------------------------------------ #
-    # Streaming, sharded run
+    # Layers 2 and 3, shard by shard
     # ------------------------------------------------------------------ #
     def run_streaming(
         self,
@@ -404,7 +196,7 @@ class VitaPipeline:
         Args:
             warehouse: stream into this warehouse instead of opening one from
                 ``config.storage`` (it is cleared first: a run owns its
-                warehouse, like :meth:`run`).
+                warehouse).
             progress: :class:`~repro.core.streaming.GenerationProgress`
                 callback for objects/records-per-second reporting.
             workers / shards / flush_every: override the corresponding
@@ -440,147 +232,143 @@ class VitaPipeline:
             # "s<shard>:", so adopted worker spans can never collide.
             telemetry = Telemetry.from_config(config.telemetry, id_prefix="p:")
         tracer = telemetry.tracer
-        root_context = tracer.span(
+        with tracer.span(
             "pipeline.run_streaming", workers=workers, shards=shard_count
-        )
-        root_span = root_context.__enter__()
+        ) as root_span:
+            timings: Dict[str, float] = {}
+            cache_stats: Dict[str, int] = {}
+            run_start = time.perf_counter()
+            with tracer.span("infrastructure"):
+                building = self.build_environment()
+                device_controller = self.deploy_devices(building)
+                devices = list(device_controller.devices.values())
+                spatial = self.build_spatial(building, devices)
+                master_seed = resolve_master_seed(config)
+                radio_map = None
+                if config.positioning.method is PositioningMethod.FINGERPRINTING:
+                    # Surveyed once by the parent with a seed derived from the
+                    # master, never per shard.
+                    radio_map = survey_radio_map(
+                        building,
+                        devices,
+                        build_rssi_config(
+                            config.rssi, seed=derive_seed(master_seed, -1, "survey")
+                        ),
+                        config.positioning.radio_map_spacing,
+                        config.positioning.radio_map_samples,
+                        spatial=spatial,
+                    )
+                    merge_stats(cache_stats, spatial.cache_stats())
+            timings["infrastructure"] = time.perf_counter() - run_start
 
-        timings: Dict[str, float] = {}
-        cache_stats: Dict[str, int] = {}
-        run_start = time.perf_counter()
-        with tracer.span("infrastructure"):
-            building = self.build_environment()
-            device_controller = self.deploy_devices(building)
-            devices = list(device_controller.devices.values())
-            spatial = self.build_spatial(building, devices)
-            master_seed = resolve_master_seed(config)
-            radio_map = None
-            if config.positioning.method is PositioningMethod.FINGERPRINTING:
-                # The radio map is shared infrastructure: surveyed once by the
-                # parent with a seed derived from the master, never per shard.
-                survey_generator = RSSIGenerator(
-                    building,
-                    devices,
-                    build_rssi_config(config.rssi, seed=derive_seed(master_seed, -1, "survey")),
+            # Standing monitors: the config's monitors: section plus any passed
+            # explicitly, evaluated through the writer's flush-batch tap.
+            engine = None
+            all_monitors = [monitor_config.build() for monitor_config in config.monitors]
+            all_monitors.extend(monitors or ())
+            if all_monitors:
+                from repro.live.engine import LiveEngine  # local: optional subsystem
+
+                engine = LiveEngine(
+                    all_monitors,
                     spatial=spatial,
+                    on_alert=on_alert,
+                    max_pending_alerts=max(flush_every, 1),
+                    metrics=telemetry.metrics,
+                    tracer=telemetry.tracer,
                 )
-                radio_map = RadioMap.survey_grid(
-                    building,
-                    survey_generator,
-                    spacing=config.positioning.radio_map_spacing,
-                    samples_per_location=config.positioning.radio_map_samples,
-                )
-                merge_stats(cache_stats, spatial.cache_stats())
-        timings["infrastructure"] = time.perf_counter() - run_start
 
-        # Standing monitors: the config's monitors: section plus any passed
-        # explicitly, evaluated through the writer's flush-batch tap.
-        engine = None
-        all_monitors = [monitor_config.build() for monitor_config in config.monitors]
-        all_monitors.extend(monitors or ())
-        if all_monitors:
-            from repro.live.engine import LiveEngine  # local: optional subsystem
+            if warehouse is None:
+                warehouse = DataWarehouse.from_config(config.storage)
+            warehouse.attach_metrics(telemetry.metrics)
+            # A run owns its warehouse: reusing an existing database replaces
+            # its contents, so the summary always describes this run.
+            warehouse.clear()
+            plan = plan_shards(config.objects.count, shard_count, master_seed)
+            writer = StreamingWriter(
+                warehouse,
+                flush_every,
+                progress,
+                record_hook=engine.writer_hook() if engine is not None else None,
+                telemetry=telemetry,
+            )
+            writer.set_context(None, len(plan), 0)
+            writer.write("devices", device_controller.device_records())
+            writer.emit("devices")
 
-            engine = LiveEngine(
-                all_monitors,
+            context = ShardContext(
+                config=config,
+                building=building,
+                devices=devices,
+                radio_map=radio_map,
+                master_seed=master_seed,
                 spatial=spatial,
-                on_alert=on_alert,
-                max_pending_alerts=max(flush_every, 1),
-                metrics=telemetry.metrics,
-                tracer=telemetry.tracer,
             )
+            objects_done = 0
+            sample_ticks = itertools.count(1)
 
-        if warehouse is None:
-            warehouse = DataWarehouse.from_config(config.storage)
-        warehouse.attach_metrics(telemetry.metrics)
-        # A run owns its warehouse (same contract as the materialising path).
-        warehouse.clear()
-        plan = plan_shards(config.objects.count, shard_count, master_seed)
-        writer = StreamingWriter(
-            warehouse,
-            flush_every,
-            progress,
-            record_hook=engine.writer_hook() if engine is not None else None,
-            telemetry=telemetry,
-        )
-        writer.set_context(None, len(plan), 0)
-        writer.write("devices", device_controller.device_records())
-        writer.emit("devices")
+            def on_shard_start(shard) -> None:
+                writer.set_context(shard.shard_id, len(plan), objects_done)
+                writer.emit("shard-start")
 
-        context = ShardContext(
-            config=config,
-            building=building,
-            devices=devices,
-            radio_map=radio_map,
-            master_seed=master_seed,
-            spatial=spatial,
-        )
-        objects_done = 0
-        sample_ticks = itertools.count(1)
+            def on_sample(_record) -> None:
+                # Serial-mode heartbeat: report rates while a long shard simulates.
+                if next(sample_ticks) % 2000 == 0:
+                    writer.emit("objects")
 
-        def on_shard_start(shard) -> None:
-            writer.set_context(shard.shard_id, len(plan), objects_done)
-            writer.emit("shard-start")
+            shards_start = time.perf_counter()
+            for output in iter_shard_outputs(
+                context,
+                plan,
+                workers,
+                on_sample=on_sample if progress is not None else None,
+                on_shard_start=on_shard_start,
+            ):
+                writer.set_context(output.shard_id, len(plan), objects_done)
+                if engine is not None:
+                    # Each shard's records accumulate into a per-shard partial
+                    # window state, merged (and alert-drained) in shard order —
+                    # the outputs arrive shard-ordered for any workers value, so
+                    # monitor emission is identical to a serial run.
+                    engine.begin_shard(output.shard_id)
+                writer.write("trajectories", output.trajectory_records)
+                writer.write("rssi", output.rssi_records)
+                writer.write_positioning(output.positioning_records)
+                if engine is not None:
+                    engine.end_shard()
+                objects_done += output.objects
+                # Per-layer shard timings are summed across shards: CPU seconds,
+                # not wall-clock (with workers > 1 they exceed elapsed time).
+                # The "_cpu" suffix keeps them distinct from the wall-clock
+                # "infrastructure"/"generation" entries.
+                for name, value in output.timings.items():
+                    key = f"{name}_cpu"
+                    timings[key] = timings.get(key, 0.0) + value
+                # Shard telemetry merges exactly like spatial_stats: per-shard
+                # deltas folded in shard order, so the merged counters are
+                # identical for every workers value.
+                telemetry.metrics.merge(output.metrics)
+                tracer.adopt(output.spans, parent=root_span)
+                merge_stats(cache_stats, output.spatial_stats)
+                writer.cache_stats = dict(cache_stats)
+                writer.set_context(output.shard_id, len(plan), objects_done)
+                writer.emit("shard-done")
+            timings["generation"] = time.perf_counter() - shards_start
 
-        def on_sample(_record) -> None:
-            # Serial-mode heartbeat: report rates while a long shard simulates.
-            if next(sample_ticks) % 2000 == 0:
-                writer.emit("objects")
-
-        shards_start = time.perf_counter()
-        for output in iter_shard_outputs(
-            context,
-            plan,
-            workers,
-            on_sample=on_sample if progress is not None else None,
-            on_shard_start=on_shard_start,
-        ):
-            writer.set_context(output.shard_id, len(plan), objects_done)
-            if engine is not None:
-                # Each shard's records accumulate into a per-shard partial
-                # window state, merged (and alert-drained) in shard order —
-                # the outputs arrive shard-ordered for any workers value, so
-                # monitor emission is identical to a serial run.
-                engine.begin_shard(output.shard_id)
-            writer.write("trajectories", output.trajectory_records)
-            writer.write("rssi", output.rssi_records)
-            writer.write_positioning(output.positioning_records)
-            if engine is not None:
-                engine.end_shard()
-            objects_done += output.objects
-            # Per-layer shard timings are summed across shards: CPU seconds,
-            # not wall-clock (with workers > 1 they exceed elapsed time).
-            # The "_cpu" suffix keeps them distinct from the wall-clock
-            # "infrastructure"/"generation" entries.
-            for name, value in output.timings.items():
-                key = f"{name}_cpu"
-                timings[key] = timings.get(key, 0.0) + value
-            # Shard telemetry merges exactly like spatial_stats: per-shard
-            # deltas folded in shard order, so the merged counters are
-            # identical for every workers value.
-            telemetry.metrics.merge(output.metrics)
-            tracer.adopt(output.spans, parent=root_span)
-            merge_stats(cache_stats, output.spatial_stats)
-            writer.cache_stats = dict(cache_stats)
-            writer.set_context(output.shard_id, len(plan), objects_done)
-            writer.emit("shard-done")
-        timings["generation"] = time.perf_counter() - shards_start
-
-        warehouse.flush()
-        with tracer.span("finalize"):
-            live_report = engine.finalize() if engine is not None else None
-        elapsed = time.perf_counter() - run_start
-        writer.set_context(None, len(plan), objects_done)
-        writer.emit("done")
-        if telemetry.enabled:
-            metrics = telemetry.metrics
-            metrics.gauge("pipeline.elapsed_seconds").set(elapsed)
-            metrics.gauge("pipeline.records_per_second").set(
-                writer.records_written / elapsed if elapsed > 0 else 0.0
-            )
-            for name, value in sorted(cache_stats.items()):
-                metrics.gauge(f"spatial.cache.{name}").set(value)
-        root_context.__exit__(None, None, None)
+            warehouse.flush()
+            with tracer.span("finalize"):
+                live_report = engine.finalize() if engine is not None else None
+            elapsed = time.perf_counter() - run_start
+            writer.set_context(None, len(plan), objects_done)
+            writer.emit("done")
+            if telemetry.enabled:
+                metrics = telemetry.metrics
+                metrics.gauge("pipeline.elapsed_seconds").set(elapsed)
+                metrics.gauge("pipeline.records_per_second").set(
+                    writer.records_written / elapsed if elapsed > 0 else 0.0
+                )
+                for name, value in sorted(cache_stats.items()):
+                    metrics.gauge(f"spatial.cache.{name}").set(value)
         if getattr(config.telemetry, "metrics_json", None):
             telemetry.write_metrics_json(config.telemetry.metrics_json)
         if getattr(config.telemetry, "trace_json", None):
@@ -611,23 +399,8 @@ class VitaPipeline:
             live=live_report,
         )
 
-    @staticmethod
-    def _store_positioning(warehouse: DataWarehouse, output: list) -> None:
-        deterministic, probabilistic, proximity = [], [], []
-        for record in output:
-            if isinstance(record, PositioningRecord):
-                deterministic.append(record)
-            elif isinstance(record, ProbabilisticPositioningRecord):
-                probabilistic.append(record)
-            else:
-                proximity.append(record)
-        warehouse.positioning.add_many(deterministic)
-        warehouse.probabilistic.add_many(probabilistic)
-        warehouse.proximity.add_many(proximity)
-
 
 __all__ = [
-    "GenerationResult",
     "StreamingReport",
     "StreamingGenerationResult",
     "VitaPipeline",

@@ -1,9 +1,7 @@
-"""Deterministic sharding and streaming generation support.
+"""Deterministic sharding, streaming writes and the layer set-up.
 
-The original pipeline materialises every trajectory, RSSI and positioning
-record in memory before handing the full warehouse to storage, which bounds
-dataset size by RAM and uses one core.  This module provides the pieces of
-the *streaming* generation path instead:
+This module holds the pieces of the one generation path,
+:meth:`~repro.core.pipeline.VitaPipeline.run_streaming`:
 
 * **Deterministic shards** — the moving-object population is partitioned into
   contiguous shards (:func:`plan_shards`).  Every shard is seeded as a pure
@@ -22,6 +20,10 @@ the *streaming* generation path instead:
   only on ``(master_seed, shard_count)``, never on ``workers``.
 * **Progress reporting** — long runs report objects/records per second
   through the :class:`GenerationProgress` callback hook.
+* **Layer set-up** — :func:`object_controller`, :func:`build_rssi_config`,
+  :func:`survey_radio_map` and :func:`positioning_dataset` turn configuration
+  into layer objects in one place, for the shard chain and the step-wise
+  :class:`~repro.core.toolkit.Vita` facade alike.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import random
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.building.model import Building
@@ -48,12 +50,7 @@ from repro.devices.base import PositioningDevice
 from repro.mobility.behavior import behavior_by_name
 from repro.mobility.controller import MovingObjectController, ObjectGenerationConfig
 from repro.mobility.crowd import crowd_model_by_name
-from repro.mobility.distributions import (
-    CrowdOutliersDistribution,
-    NoArrivals,
-    PoissonArrivals,
-    UniformDistribution,
-)
+from repro.mobility.distributions import NoArrivals, PoissonArrivals, distribution_by_name
 from repro.mobility.intentions import intention_by_name
 from repro.obs import Telemetry
 from repro.positioning.controller import PositioningConfig, PositioningMethodController
@@ -69,6 +66,13 @@ DEFAULT_MAX_SHARDS = 8
 
 #: The seed space: 63 bits so derived seeds stay positive ints everywhere.
 SEED_BITS = 63
+
+#: Semantic tags of the partitions a crowd-outliers distribution gathers its
+#: crowds in (customers around shops on sale, Figure 3(b) of the paper).
+HOT_PARTITION_TAGS = ("shop", "canteen", "public_area")
+
+#: The datasets (and warehouse repositories) positioning output is stored in.
+POSITIONING_DATASETS = ("positioning", "probabilistic", "proximity")
 
 
 # --------------------------------------------------------------------------- #
@@ -220,9 +224,6 @@ class StreamingWriter:
     emits a ``"flush"`` progress event.
     """
 
-    #: Warehouse repository attribute per positioning record type.
-    _POSITIONING_REPOS = ("positioning", "probabilistic", "proximity")
-
     def __init__(
         self,
         warehouse,
@@ -320,16 +321,10 @@ class StreamingWriter:
         as ``flush_every`` records are pending *in total*, every non-empty
         buffer is flushed, keeping the O(flush buffer) bound.
         """
-        buffers: Dict[str, list] = {name: [] for name in self._POSITIONING_REPOS}
+        buffers: Dict[str, list] = {name: [] for name in POSITIONING_DATASETS}
         written = 0
         for record in records:
-            if isinstance(record, PositioningRecord):
-                name = "positioning"
-            elif isinstance(record, ProbabilisticPositioningRecord):
-                name = "probabilistic"
-            else:
-                name = "proximity"
-            buffers[name].append(record)
+            buffers[positioning_dataset(record)].append(record)
             self._note_pending(1)
             if self._pending >= self.flush_every:
                 written += self._flush_buffers(buffers)
@@ -371,37 +366,53 @@ class StreamingWriter:
 
 
 # --------------------------------------------------------------------------- #
-# The per-shard generation chain
+# Layer set-up: configuration -> layer objects, in one place
 # --------------------------------------------------------------------------- #
-def object_layer_components(objects: ObjectConfig):
-    """Instantiate the Moving Object Layer strategies an :class:`ObjectConfig` names.
+def object_controller(
+    building: Building,
+    objects: ObjectConfig,
+    spatial: SpatialService,
+    **shard_options,
+) -> MovingObjectController:
+    """The Moving Object Layer controller an :class:`ObjectConfig` describes.
 
-    Returns ``(distribution, intention, behavior, crowd_model)`` — shared by
-    the materialising and streaming pipelines.  The arrival process is built
-    separately (:func:`arrival_process_for`) because the streaming path
-    splits the configured rate across shards.
+    Resolves the configured strategy names (initial distribution, Poisson
+    arrivals, intention, behavior, crowd interaction) for the shard chain and
+    the step-wise facade alike.  *shard_options* (``first_object_index``,
+    ``arrival_id_prefix``, ``engine_seed``) place a shard's objects in the
+    run's global id space.
     """
-    if objects.distribution.lower().replace("_", "-") in ("crowd-outliers", "crowdoutliers"):
-        distribution = CrowdOutliersDistribution(
+    if objects.arrival_rate_per_minute > 0:
+        arrival_process = PoissonArrivals(rate_per_minute=objects.arrival_rate_per_minute)
+    else:
+        arrival_process = NoArrivals()
+    return MovingObjectController(
+        building,
+        config=ObjectGenerationConfig(
+            count=objects.count,
+            min_speed=objects.min_speed,
+            max_speed=objects.max_speed,
+            min_lifespan=objects.min_lifespan,
+            max_lifespan=objects.max_lifespan,
+            duration=objects.duration,
+            sampling_period=objects.sampling_period,
+            time_step=objects.time_step,
+            routing_metric=objects.routing,
+            seed=objects.seed,
+        ),
+        distribution=distribution_by_name(
+            objects.distribution,
             crowd_count=objects.crowd_count,
             crowd_fraction=objects.crowd_fraction,
-            hot_partition_tags=("shop", "canteen", "public_area"),
-        )
-    else:
-        distribution = UniformDistribution()
-    return (
-        distribution,
-        intention_by_name(objects.intention),
-        behavior_by_name(objects.behavior),
-        crowd_model_by_name(objects.crowd_interaction),
+            hot_partition_tags=HOT_PARTITION_TAGS,
+        ),
+        arrival_process=arrival_process,
+        intention=intention_by_name(objects.intention),
+        behavior=behavior_by_name(objects.behavior),
+        crowd_model=crowd_model_by_name(objects.crowd_interaction),
+        spatial=spatial,
+        **shard_options,
     )
-
-
-def arrival_process_for(rate_per_minute: float):
-    """The arrival process for a Poisson rate (``NoArrivals`` when zero)."""
-    if rate_per_minute > 0:
-        return PoissonArrivals(rate_per_minute=rate_per_minute)
-    return NoArrivals()
 
 
 def build_rssi_config(rssi: RSSIConfig, seed: Optional[int]) -> RSSIGenerationConfig:
@@ -422,6 +433,37 @@ def build_rssi_config(rssi: RSSIConfig, seed: Optional[int]) -> RSSIGenerationCo
     )
 
 
+def survey_radio_map(
+    building: Building,
+    devices: Sequence[PositioningDevice],
+    rssi_config: RSSIGenerationConfig,
+    spacing: float,
+    samples_per_location: int,
+    spatial: Optional[SpatialService] = None,
+) -> RadioMap:
+    """Survey the fingerprinting radio map on a grid of reference locations.
+
+    The radio map is infrastructure: it is surveyed once, with the RSSI
+    noise stream of *rssi_config*, and shared by every positioning call.
+    """
+    generator = RSSIGenerator(building, devices, rssi_config, spatial=spatial)
+    return RadioMap.survey_grid(
+        building, generator, spacing=spacing, samples_per_location=samples_per_location
+    )
+
+
+def positioning_dataset(record) -> str:
+    """The dataset of :data:`POSITIONING_DATASETS` a positioning record belongs in."""
+    if isinstance(record, PositioningRecord):
+        return "positioning"
+    if isinstance(record, ProbabilisticPositioningRecord):
+        return "probabilistic"
+    return "proximity"
+
+
+# --------------------------------------------------------------------------- #
+# The per-shard generation chain
+# --------------------------------------------------------------------------- #
 @dataclass
 class ShardContext:
     """Everything a shard run needs; picklable, shipped once per worker.
@@ -501,88 +543,72 @@ def run_shard(
     telemetry = Telemetry.from_config(
         config.telemetry, id_prefix=f"s{shard.shard_id}:"
     )
-    shard_span = telemetry.tracer.span(
+    with telemetry.tracer.span(
         "shard", shard_id=shard.shard_id, objects=shard.object_count
-    )
-    shard_span.__enter__()
-
-    distribution, intention, behavior, crowd_model = object_layer_components(objects)
-    # Poisson arrivals are split evenly across shards so the configured total
-    # arrival rate is preserved in expectation.
-    arrival_process = arrival_process_for(objects.arrival_rate_per_minute / shard.shard_count)
-
-    controller = MovingObjectController(
-        context.building,
-        config=ObjectGenerationConfig(
+    ):
+        shard_objects = replace(
+            objects,
             count=shard.object_count,
-            min_speed=objects.min_speed,
-            max_speed=objects.max_speed,
-            min_lifespan=objects.min_lifespan,
-            max_lifespan=objects.max_lifespan,
-            duration=objects.duration,
-            sampling_period=objects.sampling_period,
-            time_step=objects.time_step,
-            routing_metric=objects.routing,
             seed=derive_seed(context.master_seed, shard.shard_id, "objects"),
-        ),
-        distribution=distribution,
-        arrival_process=arrival_process,
-        intention=intention,
-        behavior=behavior,
-        crowd_model=crowd_model,
-        first_object_index=shard.first_index,
-        arrival_id_prefix=f"obj_s{shard.shard_id}a",
-        engine_seed=derive_seed(context.master_seed, shard.shard_id, "engine"),
-        spatial=spatial,
-    )
-    start = time.perf_counter()
-    with telemetry.tracer.span("phase.moving_objects"):
-        simulation = controller.generate(record_sink=on_sample)
-    timings["moving_objects"] = time.perf_counter() - start
+            # Poisson arrivals are split evenly across shards so the
+            # configured total arrival rate is preserved in expectation.
+            arrival_rate_per_minute=objects.arrival_rate_per_minute / shard.shard_count,
+        )
+        controller = object_controller(
+            context.building,
+            shard_objects,
+            spatial,
+            first_object_index=shard.first_index,
+            arrival_id_prefix=f"obj_s{shard.shard_id}a",
+            engine_seed=derive_seed(context.master_seed, shard.shard_id, "engine"),
+        )
+        start = time.perf_counter()
+        with telemetry.tracer.span("phase.moving_objects"):
+            simulation = controller.generate(record_sink=on_sample)
+        timings["moving_objects"] = time.perf_counter() - start
 
-    start = time.perf_counter()
-    rssi_config = build_rssi_config(
-        config.rssi, seed=derive_seed(context.master_seed, shard.shard_id, "rssi")
-    )
-    with telemetry.tracer.span("phase.rssi"):
-        rssi_records = RSSIGenerator(
-            context.building, context.devices, rssi_config, spatial=spatial
-        ).generate(simulation.trajectories)
-    timings["rssi"] = time.perf_counter() - start
+        start = time.perf_counter()
+        rssi_config = build_rssi_config(
+            config.rssi, seed=derive_seed(context.master_seed, shard.shard_id, "rssi")
+        )
+        with telemetry.tracer.span("phase.rssi"):
+            rssi_records = RSSIGenerator(
+                context.building, context.devices, rssi_config, spatial=spatial
+            ).generate(simulation.trajectories)
+        timings["rssi"] = time.perf_counter() - start
 
-    start = time.perf_counter()
-    positioning = config.positioning
-    positioning_controller = PositioningMethodController(
-        context.building,
-        context.devices,
-        PositioningConfig(
-            method=positioning.method,
-            sampling_period=positioning.sampling_period,
-            fingerprinting_algorithm=positioning.algorithm,
-            knn_k=positioning.knn_k,
-            bayes_top_k=positioning.bayes_top_k,
-            min_devices=positioning.min_devices,
-            rssi_threshold=positioning.rssi_threshold,
-        ),
-        radio_map=context.radio_map,
-        spatial=spatial,
-    )
-    with telemetry.tracer.span("phase.positioning"):
-        positioning_records = positioning_controller.generate(rssi_records)
-    timings["positioning"] = time.perf_counter() - start
+        start = time.perf_counter()
+        positioning = config.positioning
+        positioning_controller = PositioningMethodController(
+            context.building,
+            context.devices,
+            PositioningConfig(
+                method=positioning.method,
+                sampling_period=positioning.sampling_period,
+                fingerprinting_algorithm=positioning.algorithm,
+                knn_k=positioning.knn_k,
+                bayes_top_k=positioning.bayes_top_k,
+                min_devices=positioning.min_devices,
+                rssi_threshold=positioning.rssi_threshold,
+            ),
+            radio_map=context.radio_map,
+            spatial=spatial,
+        )
+        with telemetry.tracer.span("phase.positioning"):
+            positioning_records = positioning_controller.generate(rssi_records)
+        timings["positioning"] = time.perf_counter() - start
 
-    trajectory_records = simulation.trajectories.all_records()
-    metrics = telemetry.metrics
-    # Counters depend only on what was generated — the determinism guarantee
-    # that makes workers=N merge to exactly the serial values.
-    metrics.counter("generated.objects").inc(simulation.object_count)
-    metrics.counter("generated.records.trajectory").inc(len(trajectory_records))
-    metrics.counter("generated.records.rssi").inc(len(rssi_records))
-    metrics.counter("generated.records.positioning").inc(len(positioning_records))
-    metrics.counter("generated.shards").inc()
-    for phase, seconds in timings.items():
-        metrics.histogram(f"shard.phase_seconds.{phase}").observe(seconds)
-    shard_span.__exit__(None, None, None)
+        trajectory_records = simulation.trajectories.all_records()
+        metrics = telemetry.metrics
+        # Counters depend only on what was generated — the determinism
+        # guarantee that makes workers=N merge to exactly the serial values.
+        metrics.counter("generated.objects").inc(simulation.object_count)
+        metrics.counter("generated.records.trajectory").inc(len(trajectory_records))
+        metrics.counter("generated.records.rssi").inc(len(rssi_records))
+        metrics.counter("generated.records.positioning").inc(len(positioning_records))
+        metrics.counter("generated.shards").inc()
+        for phase, seconds in timings.items():
+            metrics.histogram(f"shard.phase_seconds.{phase}").observe(seconds)
 
     return ShardOutput(
         shard_id=shard.shard_id,
@@ -669,9 +695,11 @@ __all__ = [
     "GenerationProgress",
     "ProgressCallback",
     "StreamingWriter",
-    "object_layer_components",
-    "arrival_process_for",
+    "POSITIONING_DATASETS",
+    "object_controller",
     "build_rssi_config",
+    "survey_radio_map",
+    "positioning_dataset",
     "ShardContext",
     "ShardOutput",
     "run_shard",

@@ -12,8 +12,10 @@ Section 5 summarises the system operations as a common six-step path:
 :class:`Vita` exposes exactly those steps as methods, keeping the intermediate
 state (building, devices, trajectories, RSSI data) so that each step can be
 re-run with different parameters — just like the GUI tabs of the prototype.
-For one-shot declarative runs, use :class:`~repro.core.pipeline.VitaPipeline`
-with a :class:`~repro.core.config.VitaConfig` instead.
+The steps set up their layers with the same functions as the one-shot run
+(:mod:`repro.core.streaming`).  For one-shot declarative runs, pass a
+:class:`~repro.core.config.VitaConfig` to :meth:`Vita.generate` or to
+:meth:`~repro.core.pipeline.VitaPipeline.run_streaming` instead.
 """
 
 from __future__ import annotations
@@ -25,35 +27,25 @@ from repro.building.editor import IndoorEnvironmentController
 from repro.building.model import Building
 from repro.building.semantics import SemanticExtractor
 from repro.building.synthetic import building_by_name
-from repro.core.config import VitaConfig
+from repro.core.config import ObjectConfig, RSSIConfig, VitaConfig
 from repro.core.errors import VitaError
-from repro.core.streaming import ProgressCallback
-from repro.core.types import (
-    DeviceType,
-    PositioningMethod,
-    PositioningRecord,
-    ProbabilisticPositioningRecord,
-    RSSIRecord,
+from repro.core.streaming import (
+    POSITIONING_DATASETS,
+    ProgressCallback,
+    build_rssi_config,
+    object_controller,
+    positioning_dataset,
+    survey_radio_map,
 )
+from repro.core.types import DeviceType, PositioningMethod, RSSIRecord
 from repro.devices.base import PositioningDevice
 from repro.devices.controller import DeviceDeploymentRequest, PositioningDeviceController
 from repro.devices.deployment import deployment_model_by_name
 from repro.ifc.extractor import DBIProcessor, DBIProcessorOptions, ExtractionReport
-from repro.mobility.behavior import behavior_by_name
-from repro.mobility.controller import MovingObjectController, ObjectGenerationConfig
-from repro.mobility.crowd import crowd_model_by_name
-from repro.mobility.distributions import (
-    CrowdOutliersDistribution,
-    NoArrivals,
-    PoissonArrivals,
-    UniformDistribution,
-)
 from repro.mobility.engine import SimulationResult
-from repro.mobility.intentions import intention_by_name
 from repro.positioning.controller import PositioningConfig, PositioningMethodController
 from repro.positioning.fingerprinting import RadioMap
 from repro.rssi.measurement import RSSIGenerationConfig, RSSIGenerator
-from repro.rssi.noise import FluctuationNoiseModel, ObstacleNoiseModel
 from repro.spatial import SpatialService
 from repro.storage.backends import StorageBackend, backend_by_name
 from repro.storage.export import export_warehouse
@@ -208,37 +200,23 @@ class Vita:
     ) -> SimulationResult:
         """Generate moving objects and their raw ("ground truth") trajectories."""
         self._require_building()
-        if distribution.lower().replace("_", "-") in ("crowd-outliers", "crowdoutliers"):
-            initial = CrowdOutliersDistribution(
-                hot_partition_tags=("shop", "canteen", "public_area")
-            )
-        else:
-            initial = UniformDistribution()
-        arrivals = (
-            PoissonArrivals(rate_per_minute=arrival_rate_per_minute)
-            if arrival_rate_per_minute > 0
-            else NoArrivals()
+        objects = ObjectConfig(
+            count=count,
+            duration=duration,
+            sampling_period=sampling_period,
+            max_speed=max_speed,
+            min_lifespan=min_lifespan,
+            max_lifespan=max_lifespan,
+            distribution=distribution,
+            intention=intention,
+            behavior=behavior,
+            routing=routing,
+            arrival_rate_per_minute=arrival_rate_per_minute,
+            crowd_interaction=crowd_interaction,
+            time_step=time_step,
+            seed=self.seed,
         )
-        controller = MovingObjectController(
-            self.building,
-            config=ObjectGenerationConfig(
-                count=count,
-                max_speed=max_speed,
-                min_lifespan=min_lifespan,
-                max_lifespan=max_lifespan,
-                duration=duration,
-                sampling_period=sampling_period,
-                time_step=time_step,
-                routing_metric=routing,
-                seed=self.seed,
-            ),
-            distribution=initial,
-            arrival_process=arrivals,
-            intention=intention_by_name(intention),
-            behavior=behavior_by_name(behavior),
-            crowd_model=crowd_model_by_name(crowd_interaction),
-            spatial=self.spatial,
-        )
+        controller = object_controller(self.building, objects, self.spatial)
         self.simulation = controller.generate(snapshot_times=snapshot_times)
         # Re-running a step replaces its output (the GUI-tab semantics);
         # appending would violate the warehouse's (object_id, t) uniqueness.
@@ -263,11 +241,13 @@ class Vita:
             raise VitaError("generate moving objects (step 4) before generating RSSI data")
         if not self.devices:
             raise VitaError("deploy positioning devices (step 3) before generating RSSI data")
-        config = RSSIGenerationConfig(
-            sampling_period=sampling_period,
-            obstacle_noise=ObstacleNoiseModel(wall_attenuation_db=wall_attenuation_db),
-            fluctuation_noise=FluctuationNoiseModel(sigma_db=fluctuation_sigma_db),
-            detection_probability=detection_probability,
+        config = build_rssi_config(
+            RSSIConfig(
+                sampling_period=sampling_period,
+                wall_attenuation_db=wall_attenuation_db,
+                fluctuation_sigma_db=fluctuation_sigma_db,
+                detection_probability=detection_probability,
+            ),
             seed=self.seed,
         )
         generator = RSSIGenerator(self.building, self.devices, config, spatial=self.spatial)
@@ -319,15 +299,13 @@ class Vita:
             method = PositioningMethod(method.lower())
         radio_map = None
         if method is PositioningMethod.FINGERPRINTING:
-            survey_config = self._rssi_config or RSSIGenerationConfig(seed=self.seed)
-            generator = RSSIGenerator(
-                self.building, self.devices, survey_config, spatial=self.spatial
-            )
-            radio_map = RadioMap.survey_grid(
+            radio_map = survey_radio_map(
                 self.building,
-                generator,
-                spacing=radio_map_spacing,
-                samples_per_location=radio_map_samples,
+                self.devices,
+                self._rssi_config or RSSIGenerationConfig(seed=self.seed),
+                radio_map_spacing,
+                radio_map_samples,
+                spatial=self.spatial,
             )
             self.radio_map = radio_map
         controller = PositioningMethodController(
@@ -344,15 +322,10 @@ class Vita:
         )
         self.positioning_output = controller.generate(self.rssi_records)
         # A re-run replaces the positioning step's previous output.
-        for dataset in ("positioning", "probabilistic", "proximity"):
+        for dataset in POSITIONING_DATASETS:
             self.warehouse.backend.clear(dataset)
         for record in self.positioning_output:
-            if isinstance(record, PositioningRecord):
-                self.warehouse.positioning.add(record)
-            elif isinstance(record, ProbabilisticPositioningRecord):
-                self.warehouse.probabilistic.add(record)
-            else:
-                self.warehouse.proximity.add(record)
+            getattr(self.warehouse, positioning_dataset(record)).add(record)
         self.warehouse.flush()
         return self.positioning_output
 

@@ -15,6 +15,7 @@ from repro.core.config import (
     config_from_json,
 )
 from repro.core.errors import ConfigurationError
+from repro.core.toolkit import Vita
 from repro.core.types import DeviceType, PositioningMethod
 
 
@@ -55,6 +56,15 @@ class TestSectionValidation:
     def test_vita_config_requires_devices(self):
         with pytest.raises(ConfigurationError):
             VitaConfig(devices=[])
+
+    def test_unknown_distribution_is_rejected_on_both_entry_points(self):
+        with pytest.raises(ConfigurationError, match="gaussian"):
+            config_from_dict({"objects": {"distribution": "gaussian"}})
+        vita = Vita(seed=1)
+        vita.use_synthetic_building("clinic", floors=1)
+        with pytest.raises(ConfigurationError, match="gaussian"):
+            vita.generate_objects(count=2, duration=10, distribution="gaussian")
+        assert vita.simulation is None
 
     def test_top_level_seed_propagates(self):
         config = VitaConfig(seed=42)

@@ -1,0 +1,117 @@
+"""Golden digests: the stored output of two fixed runs, pinned across commits.
+
+The equivalence suites compare two runs of the *same* code (workers=N against
+serial, cached against uncached).  These tests compare against constants, so
+a refactor of the generation chain that changes any stored record fails
+here.  Each digest covers every dataset's rows in query order, with floats
+rounded to 1e-6 so the constants do not depend on last-bit arithmetic.
+"""
+
+import hashlib
+
+from repro.core.config import (
+    DeviceConfig,
+    EnvironmentConfig,
+    ObjectConfig,
+    PositioningLayerConfig,
+    RSSIConfig,
+    VitaConfig,
+)
+from repro.core.pipeline import VitaPipeline
+from repro.core.toolkit import Vita
+from repro.core.types import PositioningMethod
+
+DATASETS = ("device", "trajectory", "rssi", "positioning", "probabilistic", "proximity")
+
+
+def _rounded(value):
+    if isinstance(value, float):
+        return round(value, 6) + 0.0  # + 0.0 folds -0.0 into 0.0
+    if isinstance(value, dict):
+        return tuple(sorted((key, _rounded(item)) for key, item in value.items()))
+    if isinstance(value, (list, tuple)):
+        return tuple(_rounded(item) for item in value)
+    return value
+
+
+def warehouse_digest(warehouse):
+    """``{dataset: (row count, sha256 of the rounded rows in query order)}``."""
+    result = {}
+    for dataset in DATASETS:
+        rows = warehouse.query(dataset).all()
+        hasher = hashlib.sha256()
+        for row in rows:
+            hasher.update(repr(_rounded(row)).encode("utf-8"))
+        result[dataset] = (len(rows), hasher.hexdigest()[:16])
+    return result
+
+
+#: Both constants were computed while the materialising ``VitaPipeline.run()``
+#: still existed; change them only with a change meant to alter the data.
+STREAMING_GOLDEN = {
+    "device": (5, "7226f38a937ba460"),
+    "trajectory": (507, "1344cde7efdaa4af"),
+    "rssi": (942, "3053dcfd09369627"),
+    "positioning": (108, "a724ae2331ce4f14"),
+    "probabilistic": (0, "e3b0c44298fc1c14"),
+    "proximity": (0, "e3b0c44298fc1c14"),
+}
+
+STEP_PATH_GOLDEN = {
+    "device": (5, "7226f38a937ba460"),
+    "trajectory": (343, "a0cf3835a9ec36d9"),
+    "rssi": (665, "79bf7eb5456240b2"),
+    "positioning": (72, "ec951bdfccad6f7e"),
+    "probabilistic": (0, "e3b0c44298fc1c14"),
+    "proximity": (0, "e3b0c44298fc1c14"),
+}
+
+
+def test_streaming_run_matches_its_golden_digest():
+    config = VitaConfig(
+        environment=EnvironmentConfig(building="office", floors=1),
+        devices=[DeviceConfig(count_per_floor=5)],
+        objects=ObjectConfig(
+            count=7,
+            duration=60.0,
+            time_step=0.5,
+            min_lifespan=30.0,
+            max_lifespan=60.0,
+            distribution="crowd-outliers",
+            crowd_count=2,
+            crowd_fraction=0.6,
+            arrival_rate_per_minute=6.0,
+        ),
+        rssi=RSSIConfig(sampling_period=2.0),
+        positioning=PositioningLayerConfig(
+            method=PositioningMethod.FINGERPRINTING,
+            algorithm="knn",
+            sampling_period=5.0,
+            radio_map_spacing=6.0,
+            radio_map_samples=3,
+        ),
+        seed=23,
+        shards=2,
+    )
+    result = VitaPipeline(config).run_streaming(workers=1)
+    assert warehouse_digest(result.warehouse) == STREAMING_GOLDEN
+
+
+def test_step_path_matches_its_golden_digest():
+    vita = Vita(seed=19)
+    vita.use_synthetic_building("office", floors=1)
+    vita.deploy_devices("wifi", count_per_floor=5)
+    vita.generate_objects(
+        count=6,
+        duration=60.0,
+        time_step=0.5,
+        min_lifespan=30.0,
+        max_lifespan=60.0,
+        distribution="crowd-outliers",
+        arrival_rate_per_minute=6.0,
+    )
+    vita.generate_rssi(sampling_period=2.0)
+    vita.generate_positioning(
+        "fingerprinting", sampling_period=5.0, radio_map_spacing=6.0, radio_map_samples=3
+    )
+    assert warehouse_digest(vita.warehouse) == STEP_PATH_GOLDEN

@@ -1,10 +1,9 @@
-"""Integration tests: the declarative three-layer pipeline."""
+"""Integration tests: the declarative three-layer pipeline (``run_streaming``)."""
 
 import pytest
 
 from repro.core.config import config_from_dict
 from repro.core.pipeline import VitaPipeline
-from repro.core.types import PositioningMethod, PositioningRecord, ProximityRecord
 from repro.analysis.accuracy import evaluate_positioning
 
 
@@ -23,7 +22,7 @@ def _base_config(**overrides):
 
 @pytest.fixture(scope="module")
 def trilateration_result():
-    return VitaPipeline(_base_config()).run()
+    return VitaPipeline(_base_config()).run_streaming()
 
 
 class TestFullRun:
@@ -35,23 +34,28 @@ class TestFullRun:
         assert summary["positioning_records"] > 20
 
     def test_timings_recorded_per_layer(self, trilateration_result):
-        assert set(trilateration_result.timings) == {
-            "infrastructure", "moving_objects", "rssi", "positioning", "storage",
+        timings = trilateration_result.report.timings
+        assert set(timings) == {
+            "infrastructure", "generation",
+            "moving_objects_cpu", "rssi_cpu", "positioning_cpu",
         }
-        assert all(value >= 0 for value in trilateration_result.timings.values())
+        assert all(value >= 0 for value in timings.values())
 
     def test_positioning_is_consistent_with_ground_truth(self, trilateration_result):
+        warehouse = trilateration_result.warehouse
         report = evaluate_positioning(
-            trilateration_result.positioning_output,
-            trilateration_result.simulation.trajectories,
+            warehouse.positioning.all_records(),
+            warehouse.trajectories.to_trajectory_set(),
         )
         assert report.matched > 0
         assert report.mean_error < 15.0
 
-    def test_summary_property(self, trilateration_result):
-        summary = trilateration_result.summary
-        assert "seconds_rssi" in summary
-        assert summary["trajectory_records"] > 0
+    def test_report_counts_match_the_warehouse(self, trilateration_result):
+        written = trilateration_result.report.records_written
+        summary = trilateration_result.warehouse.summary()
+        assert written["trajectories"] == summary["trajectory_records"] > 0
+        assert written["rssi"] == summary["rssi_records"]
+        assert written["positioning"] == summary["positioning_records"]
 
 
 class TestMethodVariants:
@@ -61,7 +65,7 @@ class TestMethodVariants:
                          "sampling_period": 5.0, "radio_map_spacing": 6.0,
                          "radio_map_samples": 4},
         )
-        result = VitaPipeline(config).run()
+        result = VitaPipeline(config).run_streaming()
         assert result.radio_map is not None and len(result.radio_map) > 0
         assert len(result.warehouse.probabilistic) > 0
         assert len(result.warehouse.positioning) == 0
@@ -71,9 +75,10 @@ class TestMethodVariants:
             devices=[{"type": "rfid", "count_per_floor": 5, "deployment": "check-point"}],
             positioning={"method": "proximity"},
         )
-        result = VitaPipeline(config).run()
+        result = VitaPipeline(config).run_streaming()
         assert len(result.warehouse.proximity) > 0
-        assert all(isinstance(record, ProximityRecord) for record in result.positioning_output)
+        assert len(result.warehouse.positioning) == 0
+        assert len(result.warehouse.probabilistic) == 0
 
     def test_crowd_outliers_and_decomposition(self):
         config = _base_config(
@@ -81,13 +86,13 @@ class TestMethodVariants:
             objects={"count": 10, "duration": 60, "time_step": 0.5,
                      "distribution": "crowd-outliers", "seed": 3},
         )
-        result = VitaPipeline(config).run()
+        result = VitaPipeline(config).run_streaming()
         assert result.building.partition_count > 26  # decomposition split the atrium
         assert result.warehouse.summary()["trajectory_records"] > 0
 
     def test_reproducible_runs(self):
-        first = VitaPipeline(_base_config()).run()
-        second = VitaPipeline(_base_config()).run()
+        first = VitaPipeline(_base_config()).run_streaming()
+        second = VitaPipeline(_base_config()).run_streaming()
         assert first.warehouse.summary() == {
             key: value for key, value in second.warehouse.summary().items()
         }

@@ -24,6 +24,7 @@ from repro.core.config import (
 from repro.core.pipeline import VitaPipeline
 from repro.core.toolkit import Vita
 from repro.obs import Telemetry
+from repro.rssi.measurement import RSSIGenerator
 
 
 def _config(**overrides):
@@ -107,11 +108,21 @@ class TestPipelineTelemetry:
         result = VitaPipeline(_config()).run_streaming(workers=1)
         assert result.report.telemetry == {"enabled": False}
 
-    def test_batch_run_carries_the_snapshot_too(self):
-        config = _config(telemetry=TelemetryConfig(enabled=True))
-        result = VitaPipeline(config).run()
-        assert result.telemetry["enabled"] is True
-        assert result.telemetry["metrics"]["counters"]["generated.objects"] == 5
+    def test_failing_run_closes_its_spans(self, monkeypatch):
+        def fail(self, *args, **kwargs):
+            raise RuntimeError("rssi layer failed")
+
+        monkeypatch.setattr(RSSIGenerator, "generate", fail)
+        telemetry = Telemetry()
+        with pytest.raises(RuntimeError, match="rssi layer failed"):
+            VitaPipeline(_config()).run_streaming(workers=1, telemetry=telemetry)
+        assert telemetry.tracer.current is None
+        roots = [
+            span for span in telemetry.tracer.export()
+            if span["name"] == "pipeline.run_streaming"
+        ]
+        assert len(roots) == 1
+        assert roots[0]["attrs"]["error"] == "RuntimeError"
 
     def test_config_paths_write_the_json_files(self, tmp_path):
         config = _config(
