@@ -210,8 +210,10 @@ class SpatialConfig:
         route_cache_size: LRU capacity of the end-to-end route cache, keyed
             by (partition, quantized point, partition, quantized point,
             metric, speed).
-        los_cache_size: LRU capacity of the line-of-sight cache, keyed by
-            (floor, quantized origin, quantized target).
+        los_cache_size: LRU capacity of the cache of
+            :meth:`SpatialService.sightline` reports, keyed by (floor,
+            quantized origin, quantized target); RSSI generation counts its
+            sight lines in batches and does not use it.
         locate_cache_size: LRU capacity of the point-location cache used
             when annotating coordinates with their partition.
         quantum: bucket resolution (metres) of the quantized cache keys.

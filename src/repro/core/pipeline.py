@@ -164,9 +164,9 @@ class VitaPipeline:
             )
         return controller
 
-    def build_spatial(self, building: Building, devices=None) -> SpatialService:
+    def build_spatial(self, building: Building) -> SpatialService:
         """The run-wide cached spatial service (configured by ``config.spatial``)."""
-        return SpatialService(building, devices=devices, config=self.config.spatial)
+        return SpatialService(building, config=self.config.spatial)
 
     # ------------------------------------------------------------------ #
     # Layers 2 and 3, shard by shard
@@ -242,7 +242,7 @@ class VitaPipeline:
                 building = self.build_environment()
                 device_controller = self.deploy_devices(building)
                 devices = list(device_controller.devices.values())
-                spatial = self.build_spatial(building, devices)
+                spatial = self.build_spatial(building)
                 master_seed = resolve_master_seed(config)
                 radio_map = None
                 if config.positioning.method is PositioningMethod.FINGERPRINTING:

@@ -486,9 +486,7 @@ class ShardContext:
     def spatial_service(self) -> SpatialService:
         """The shared spatial service (created on first use when unset)."""
         if self.spatial is None:
-            self.spatial = SpatialService(
-                self.building, devices=self.devices, config=self.config.spatial
-            )
+            self.spatial = SpatialService(self.building, config=self.config.spatial)
         return self.spatial
 
 

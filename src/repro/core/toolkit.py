@@ -166,7 +166,6 @@ class Vita:
                 overrides=overrides,
             )
         )
-        self.spatial.attach_devices(self.devices)
         self.warehouse.devices.add_many(device.as_record() for device in devices)
         self.warehouse.flush()
         return devices

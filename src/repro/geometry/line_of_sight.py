@@ -9,16 +9,27 @@ block the line of sight between *p* and *d1*.
 This module computes, for a sight line between two points on the same floor,
 how many wall segments and obstacle polygons it crosses.  The RSSI noise model
 (:mod:`repro.rssi.noise`) converts those counts into attenuation.
+:class:`SightFan` computes the same counts for many sight lines from one
+origin at once, in numpy passes that repeat :meth:`Segment.crosses`'
+arithmetic operation for operation, so its counts are identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
-from repro.geometry.segment import Segment
+from repro.geometry.segment import _EPS, Segment
+
+#: The strict-crossing margin of :meth:`Segment.crosses`.
+_MARGIN = 1e-7
+#: (sight line, segment) pairs tested per numpy pass: bounds the temporary
+#: arrays whatever the number of targets.
+PAIRS_PER_PASS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -105,7 +116,96 @@ def visible_targets(
     ]
 
 
+class SightFan:
+    """The walls and obstacles that sight lines from one origin may cross.
+
+    :meth:`crossings` counts, for many targets at once, exactly what
+    :func:`count_wall_crossings` and :func:`count_obstacle_crossings` count
+    for ``Segment(origin, target)`` over the same walls and obstacles.
+    """
+
+    def __init__(
+        self, origin: Point, walls: Sequence[Segment], obstacles: Sequence[Polygon]
+    ) -> None:
+        self.origin = origin
+        self._walls = _relative_columns(origin, walls)
+        self._obstacles = list(obstacles)
+        edges = [obstacle.edges() for obstacle in self._obstacles]
+        self._edges = _relative_columns(origin, [edge for own in edges for edge in own])
+        #: Offset of each obstacle's first edge, for ``np.logical_or.reduceat``.
+        self._edge_starts = np.cumsum([0] + [len(own) for own in edges[:-1]])
+        self._origin_inside = np.array(
+            [obstacle.contains_point(origin) for obstacle in self._obstacles], dtype=bool
+        )
+        self._width = len(walls) + len(self._edges[0])
+
+    def crossings(
+        self, xs: Sequence[float], ys: Sequence[float]
+    ) -> Tuple[List[int], List[int]]:
+        """Wall and obstacle crossings of the sight line to each ``(xs[i], ys[i])``."""
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        walls = np.zeros(len(xs), dtype=np.int64)
+        obstacles = np.zeros(len(xs), dtype=np.int64)
+        step = max(1, PAIRS_PER_PASS // max(1, self._width))
+        for start in range(0, len(xs), step):
+            rows = slice(start, start + step)
+            # r = target - origin, as Segment(origin, target) computes it.
+            rx = (xs[rows] - self.origin.x)[:, None]
+            ry = (ys[rows] - self.origin.y)[:, None]
+            walls[rows] = _crossed(rx, ry, self._walls).sum(axis=1)
+            if self._obstacles:
+                hit = np.logical_or.reduceat(
+                    _crossed(rx, ry, self._edges), self._edge_starts, axis=1
+                )
+                hit |= self._origin_inside
+                hit |= self._targets_inside(xs[rows], ys[rows])
+                obstacles[rows] = hit.sum(axis=1)
+        return walls.tolist(), obstacles.tolist()
+
+    def _targets_inside(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """``inside[i, k]``: obstacle *k* contains target *i* (exact test on
+        the targets near its bounding box)."""
+        inside = np.zeros((len(xs), len(self._obstacles)), dtype=bool)
+        for column, obstacle in enumerate(self._obstacles):
+            box = obstacle.bounding_box.expanded(1e-6)
+            near = np.flatnonzero(
+                (xs >= box.min_x) & (xs <= box.max_x) & (ys >= box.min_y) & (ys <= box.max_y)
+            )
+            for row in near.tolist():
+                inside[row, column] = obstacle.contains_point(
+                    Point(float(xs[row]), float(ys[row]))
+                )
+        return inside
+
+
+def _relative_columns(origin: Point, segments: Sequence[Segment]) -> Tuple[np.ndarray, ...]:
+    """Per segment: ``q = start - origin``, ``s = end - start`` and ``q x s``
+    (the numerator of :meth:`Segment.crosses`' *t*, fixed for one origin)."""
+    qx = np.array([segment.start.x - origin.x for segment in segments], dtype=float)
+    qy = np.array([segment.start.y - origin.y for segment in segments], dtype=float)
+    sx = np.array([segment.end.x - segment.start.x for segment in segments], dtype=float)
+    sy = np.array([segment.end.y - segment.start.y for segment in segments], dtype=float)
+    return qx, qy, sx, sy, qx * sy - qy * sx
+
+
+def _crossed(rx: np.ndarray, ry: np.ndarray, columns: Tuple[np.ndarray, ...]) -> np.ndarray:
+    """``crossed[i, j]``: sight line *i* (direction ``(rx[i], ry[i])`` from the
+    origin) strictly crosses segment *j*, as :meth:`Segment.crosses` decides."""
+    qx, qy, sx, sy, q_cross_s = columns
+    denominator = rx * sy - ry * sx
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = q_cross_s / denominator
+        u = (qx * ry - qy * rx) / denominator
+    return (
+        (np.abs(denominator) > _EPS)
+        & (_MARGIN < t) & (t < 1.0 - _MARGIN)
+        & (_MARGIN < u) & (u < 1.0 - _MARGIN)
+    )
+
+
 __all__ = [
+    "SightFan",
     "SightlineReport",
     "analyze_sightline",
     "count_wall_crossings",

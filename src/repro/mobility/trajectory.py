@@ -10,7 +10,6 @@ exported at a coarser granularity.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -125,10 +124,18 @@ class Trajectory:
                 t = self.end_time
             else:
                 return None
-        times = [record.t for record in self.records]
-        index = bisect.bisect_right(times, t) - 1
-        index = max(0, min(index, len(self.records) - 1))
-        current = self.records[index]
+        # bisect_right over the sample times, searched in place: ``records``
+        # is a public list, so no copy of its times is kept.
+        records = self.records
+        low, high = 0, len(records)
+        while low < high:
+            middle = (low + high) // 2
+            if t < records[middle].t:
+                high = middle
+            else:
+                low = middle + 1
+        index = max(0, min(low - 1, len(records) - 1))
+        current = records[index]
         if index == len(self.records) - 1 or math.isclose(current.t, t):
             return current.location
         following = self.records[index + 1]

@@ -108,8 +108,8 @@ class PositioningMethodBase:
     ) -> None:
         """*spatial* shares the building-wide cached
         :class:`~repro.spatial.SpatialService` (point-location cache, floor
-        extents, device index) with the other layers; a private one is
-        created when omitted."""
+        extents) with the other layers; a private one is created when
+        omitted."""
         self.building = building
         self.spatial = spatial if spatial is not None else SpatialService(building)
         self.devices: Dict[DeviceId, PositioningDevice] = {

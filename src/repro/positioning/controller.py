@@ -95,7 +95,7 @@ class PositioningMethodController:
     ) -> None:
         """*spatial* shares the building-wide cached
         :class:`~repro.spatial.SpatialService` with the constructed method
-        (candidate device index, floor extents, point-location cache)."""
+        (floor extents, point-location cache)."""
         self.building = building
         self.devices = list(devices)
         self.config = config or PositioningConfig()

@@ -62,8 +62,10 @@ class ReferenceLocation:
 
         Devices present in only one of the two vectors contribute with the
         :data:`MISSING_RSSI_DBM` placeholder, penalising mismatched coverage.
+        The terms are summed in device-id order, so the last bits of the sum
+        do not depend on string hashing.
         """
-        device_ids = set(self.mean_rssi) | set(observation)
+        device_ids = sorted(set(self.mean_rssi) | set(observation))
         if not device_ids:
             return float("inf")
         total = 0.0

@@ -9,23 +9,36 @@ to the path loss model plus the obstacle and fluctuation noise models
 The same machinery also "collects fingerprints": generating repeated
 measurements for a stationary reference location is exactly what the
 fingerprinting radio-map construction of Section 3.3 (2) requires.
+
+Every entry point (a whole trajectory, one position, one device, one survey
+point) goes through one path.  It first finds, per sample, the devices in
+range in deployment order.  It then counts the walls and obstacles crossed by
+all those sight lines, device by device, in numpy passes
+(:class:`~repro.geometry.line_of_sight.SightFan`).  Last, a plain loop draws
+the packet loss of every device in range and the fluctuation noise of every
+kept packet, in that order, so a seed always yields the same records.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from operator import attrgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.building.model import Building
 from repro.core.errors import ConfigurationError
-from repro.core.types import RSSIRecord, Timestamp
+from repro.core.types import FloorId, RSSIRecord, Timestamp
 from repro.devices.base import PositioningDevice
 from repro.geometry.point import Point
 from repro.mobility.trajectory import TrajectorySet
 from repro.rssi.noise import FluctuationNoiseModel, ObstacleNoiseModel
 from repro.rssi.pathloss import PathLossModel, default_model_for
 from repro.spatial import SpatialService
+
+#: Per floor, ``(device, position, reach)`` in deployment order.
+_ReachTable = Dict[FloorId, List[Tuple[PositioningDevice, Point, float]]]
 
 
 @dataclass
@@ -75,8 +88,8 @@ class RSSIGenerator:
         spatial: Optional[SpatialService] = None,
     ) -> None:
         """*spatial* shares a building-wide
-        :class:`~repro.spatial.SpatialService` (LOS cache, device index)
-        with the other layers; a private one is created when omitted."""
+        :class:`~repro.spatial.SpatialService` (its sight fans) with the other
+        layers; a private one is created when omitted."""
         self.building = building
         self.devices = list(devices)
         self.config = config or RSSIGenerationConfig()
@@ -86,14 +99,84 @@ class RSSIGenerator:
             device.device_id: (self.config.path_loss or default_model_for(device))
             for device in self.devices
         }
-        if not self.spatial.devices:
-            self.spatial.attach_devices(self.devices)
-        self._device_key = tuple(device.device_id for device in self.devices)
-        self._index_decision_epoch: Optional[int] = None
-        self._use_device_index = False
+        self._reach = self._reach_table(self.devices)
+
+    def _reach_table(self, devices: Sequence[PositioningDevice]) -> _ReachTable:
+        table: _ReachTable = {}
+        for device in devices:
+            reach = device.detection_range * self.config.range_factor
+            table.setdefault(device.floor_id, []).append((device, device.position, reach))
+        return table
 
     # ------------------------------------------------------------------ #
-    # Core measurement primitives
+    # The one measurement path
+    # ------------------------------------------------------------------ #
+    def _noiseless(
+        self,
+        samples: Sequence[Tuple[FloorId, float, float]],
+        table: Optional[_ReachTable] = None,
+    ) -> List[List[Tuple[PositioningDevice, float]]]:
+        """Per sample ``(floor_id, x, y)``: the devices of *table* (default:
+        all of this generator's) in range, in deployment order, each with its
+        RSSI before fluctuation noise (path loss plus ``Nob``).  Draws no
+        random number."""
+        table = self._reach if table is None else table
+        pairs: List[tuple] = []  # (reach-table entry, distance)
+        xs: List[float] = []
+        ys: List[float] = []
+        bounds: List[Tuple[int, int]] = []
+        by_entry: Dict[int, List[int]] = {}  # id(entry) -> its pairs
+        for floor_id, x, y in samples:
+            first = len(pairs)
+            for entry in table.get(floor_id, ()):
+                position = entry[1]
+                # Point.distance_to's arithmetic: the same distance as
+                # measuring this one pair on its own.
+                distance = math.hypot(position.x - x, position.y - y)
+                if distance <= entry[2]:
+                    by_entry.setdefault(id(entry), []).append(len(pairs))
+                    pairs.append((entry, distance))
+                    xs.append(x)
+                    ys.append(y)
+            bounds.append((first, len(pairs)))
+        values = [0.0] * len(pairs)
+        noise = self.config.obstacle_noise
+        for members in by_entry.values():
+            device, position, device_reach = pairs[members[0]][0]
+            fan = self.spatial.sight_fan(device.floor_id, position, device_reach)
+            walls, obstacles = fan.crossings([xs[i] for i in members], [ys[i] for i in members])
+            model = self._models[device.device_id]
+            for index, wall_count, obstacle_count in zip(members, walls, obstacles):
+                values[index] = model.rssi_at(pairs[index][1]) + noise.attenuation_from_counts(
+                    wall_count, obstacle_count
+                )
+        return [
+            [(pairs[index][0][0], values[index]) for index in range(first, last)]
+            for first, last in bounds
+        ]
+
+    def _draw(
+        self, noiseless: Sequence[Tuple[PositioningDevice, float]]
+    ) -> List[Tuple[PositioningDevice, float]]:
+        """One sampling round: packet loss for every device in range, then
+        fluctuation noise for every kept packet."""
+        kept: List[Tuple[PositioningDevice, float]] = []
+        for device, value in noiseless:
+            if self.rng.random() > self.config.detection_probability:
+                continue
+            kept.append((device, value + self.config.fluctuation_noise.sample(self.rng)))
+        return kept
+
+    def _records(
+        self, noiseless: Sequence[Tuple[PositioningDevice, float]], object_id: str, t: Timestamp
+    ) -> List[RSSIRecord]:
+        return [
+            RSSIRecord(object_id=object_id, device_id=device.device_id, rssi=rssi, t=t)
+            for device, rssi in self._draw(noiseless)
+        ]
+
+    # ------------------------------------------------------------------ #
+    # Single positions
     # ------------------------------------------------------------------ #
     def measure(
         self,
@@ -106,64 +189,16 @@ class RSSIGenerator:
         ``None`` is returned when the object is on a different floor, outside
         the device's (extended) range, or the packet is lost.
         """
-        if floor_id != device.floor_id:
-            return None
-        distance = device.distance_to(point)
-        if distance > device.detection_range * self.config.range_factor:
-            return None
-        if self.rng.random() > self.config.detection_probability:
-            return None
-        model = self._models[device.device_id]
-        rssi = model.rssi_at(distance)
-        report = self.spatial.sightline(floor_id, device.position, point)
-        rssi += self.config.obstacle_noise.attenuation_from_report(report)
-        rssi += self.config.fluctuation_noise.sample(self.rng)
-        return rssi
-
-    def _candidate_devices(self, floor_id: int, point: Point) -> Sequence[PositioningDevice]:
-        """Devices that could observe (*floor_id*, *point*), in deployment order.
-
-        A superset of the devices :meth:`measure` will accept, found through
-        the spatial service's device index instead of a full scan.  Order
-        matters: the RNG draws (packet loss, fluctuation noise) happen per
-        accepted device, so iterating the superset in deployment order keeps
-        the noise stream — and therefore the output — identical to scanning
-        ``self.devices`` directly.
-        """
-        if not self._index_usable():
-            return self.devices
-        radius = self.spatial.max_device_range(floor_id) * self.config.range_factor
-        return self.spatial.candidate_devices(floor_id, point, radius)
-
-    def _index_usable(self) -> bool:
-        """Whether the service indexes exactly this generator's devices.
-
-        A shared service may be re-pointed at a different deployment by
-        another consumer (``attach_devices``); the decision is re-validated
-        whenever the service's ``device_epoch`` changes — an O(1) check on
-        the hot path, an O(devices) comparison only after a change.
-        """
-        epoch = self.spatial.device_epoch
-        if epoch != self._index_decision_epoch:
-            self._index_decision_epoch = epoch
-            self._use_device_index = (
-                tuple(device.device_id for device in self.spatial.devices)
-                == self._device_key
-            )
-        return self._use_device_index
+        [noiseless] = self._noiseless([(floor_id, point.x, point.y)], self._reach_table([device]))
+        kept = self._draw(noiseless)
+        return kept[0][1] if kept else None
 
     def measure_all(
         self, floor_id: int, point: Point, object_id: str, t: Timestamp
     ) -> List[RSSIRecord]:
         """RSSI records from every device that observes the given position."""
-        records: List[RSSIRecord] = []
-        for device in self._candidate_devices(floor_id, point):
-            rssi = self.measure(device, floor_id, point)
-            if rssi is not None:
-                records.append(
-                    RSSIRecord(object_id=object_id, device_id=device.device_id, rssi=rssi, t=t)
-                )
-        return records
+        [noiseless] = self._noiseless([(floor_id, point.x, point.y)])
+        return self._records(noiseless, object_id, t)
 
     # ------------------------------------------------------------------ #
     # Trajectory-driven generation
@@ -177,16 +212,19 @@ class RSSIGenerator:
         """
         if trajectory.is_empty:
             return
+        times: List[Timestamp] = []
+        samples: List[Tuple[FloorId, float, float]] = []
         period = self.config.sampling_period
         t = trajectory.start_time
         while t <= trajectory.end_time + 1e-9:
             location = trajectory.location_at(min(t, trajectory.end_time))
             if location is not None and location.has_point:
                 x, y = location.point()
-                yield from self.measure_all(
-                    location.floor_id, Point(x, y), trajectory.object_id, round(t, 6)
-                )
+                times.append(round(t, 6))
+                samples.append((location.floor_id, x, y))
             t += period
+        for t, noiseless in zip(times, self._noiseless(samples)):
+            yield from self._records(noiseless, trajectory.object_id, t)
 
     def iter_generate(self, trajectories: TrajectorySet) -> Iterator[RSSIRecord]:
         """Stream raw RSSI records trajectory by trajectory (bounded memory).
@@ -201,7 +239,7 @@ class RSSIGenerator:
     def generate(self, trajectories: TrajectorySet) -> List[RSSIRecord]:
         """Raw RSSI data for every object, sampled at the RSSI sampling period."""
         records = list(self.iter_generate(trajectories))
-        records.sort(key=lambda record: (record.t, record.object_id, record.device_id))
+        records.sort(key=attrgetter("t", "object_id", "device_id"))
         return records
 
     # ------------------------------------------------------------------ #
@@ -220,15 +258,12 @@ class RSSIGenerator:
         """
         if samples <= 0:
             raise ConfigurationError("samples must be positive")
+        # The survey point is stationary: its sight lines are counted once.
+        [noiseless] = self._noiseless([(floor_id, point.x, point.y)])
         observations: Dict[str, List[float]] = {}
-        # The survey point is stationary: resolve the candidate devices once
-        # and let the spatial LOS cache serve every repeated sight line.
-        candidates = self._candidate_devices(floor_id, point)
         for _ in range(samples):
-            for device in candidates:
-                rssi = self.measure(device, floor_id, point)
-                if rssi is not None:
-                    observations.setdefault(device.device_id, []).append(rssi)
+            for device, rssi in self._draw(noiseless):
+                observations.setdefault(device.device_id, []).append(rssi)
         return observations
 
 

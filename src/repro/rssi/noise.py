@@ -60,15 +60,6 @@ class ObstacleNoiseModel:
             total += self.non_line_of_sight_extra_db
         return -min(total, self.max_attenuation_db)
 
-    def attenuation_from_report(self, report) -> float:
-        """``Nob`` from a precomputed :class:`SightlineReport`.
-
-        Lets callers reuse a cached sightline analysis (e.g. from the
-        :class:`~repro.spatial.SpatialService` LOS cache) instead of
-        re-scanning walls per measurement.
-        """
-        return self.attenuation_from_counts(report.wall_crossings, report.obstacle_crossings)
-
     def attenuation(
         self,
         origin: Point,
@@ -78,7 +69,7 @@ class ObstacleNoiseModel:
     ) -> float:
         """``Nob`` for the sight line between *origin* and *target*."""
         report = analyze_sightline(origin, target, walls, obstacles)
-        return self.attenuation_from_report(report)
+        return self.attenuation_from_counts(report.wall_crossings, report.obstacle_crossings)
 
 
 @dataclass

@@ -2,8 +2,8 @@
 
 Every layer of the generation chain (moving pattern -> trajectory -> RSSI ->
 positioning -> analysis) leans on the same spatial primitives: door-to-door
-shortest routes, line-of-sight analysis, nearest-door / nearest-device
-lookups and point location.  Before this module each layer called raw
+shortest routes, line-of-sight analysis, nearest-door lookups and point
+location.  Before this module each layer called raw
 geometry independently — the engine re-ran a full Dijkstra per re-route, the
 RSSI noise model re-scanned every wall per (device, point) pair, and the
 analysis layer brute-forced ``min()`` over all doors.  The per-building
@@ -24,10 +24,14 @@ Three kinds of acceleration, none of which may change results:
   (:class:`~repro.geometry.spatial_index.GridIndex`) prune the walls and
   obstacles tested per sight line (exact: any crossed wall's bounding box
   intersects the sight line's), plus an LRU of full sightline reports for
-  repeated queries (stationary objects, fingerprint surveys).
-* **Nearest neighbour** — packed R-trees over doors, walls and deployed
-  devices answer nearest-door / nearest-wall / in-range-device queries with
-  exact distance refinement instead of O(n) scans.
+  repeated single queries.  RSSI generation asks for a
+  :class:`~repro.geometry.line_of_sight.SightFan` per device instead: the
+  walls and obstacles within the device's reach, as numpy arrays, which
+  count the crossings of all of a trajectory's sight lines to that device
+  in one pass.
+* **Nearest neighbour** — packed R-trees over doors and walls answer
+  nearest-door / nearest-wall queries with exact distance refinement
+  instead of O(n) scans.
 
 **Determinism contract.**  Every cache stores the exact arguments alongside
 its value and verifies them on lookup (:mod:`repro.spatial.cache`), and the
@@ -35,7 +39,7 @@ cached and uncached paths run the *same* deterministic algorithms — the
 caches only skip recomputation of pure functions.  Output is therefore
 record-identical with caching on or off, serial or parallel.  Cross-process
 safety mirrors ``Floor.__getstate__``: pickling a service ships only the
-building, devices and configuration; every cache, index and graph is rebuilt
+building and configuration; every cache, index, array and graph is rebuilt
 lazily inside the receiving worker.
 """
 
@@ -57,6 +61,7 @@ from repro.core.config import SpatialConfig
 from repro.core.errors import RoutingError
 from repro.core.types import FloorId, IndoorLocation
 from repro.geometry.line_of_sight import (
+    SightFan,
     SightlineReport,
     count_obstacle_crossings,
     count_wall_crossings,
@@ -87,8 +92,6 @@ class SpatialService:
 
     Args:
         building: the host indoor environment served.
-        devices: optional deployed positioning devices to index (can also be
-            attached later with :meth:`attach_devices`).
         config: cache knobs; defaults to an enabled service with the
             standard cache sizes.
         planner: reuse an existing route planner instead of building one
@@ -100,7 +103,6 @@ class SpatialService:
     def __init__(
         self,
         building: Building,
-        devices: Optional[Sequence] = None,
         config: Optional[SpatialConfig] = None,
         planner: Optional[RoutePlanner] = None,
         walking_speed: float = DEFAULT_WALKING_SPEED,
@@ -108,10 +110,6 @@ class SpatialService:
         self.building = building
         self.config = config or SpatialConfig()
         self.walking_speed = planner.walking_speed if planner is not None else walking_speed
-        self._devices: List = list(devices) if devices else []
-        #: Bumped whenever the attached device set changes; consumers (e.g.
-        #: the RSSI generator) compare it instead of re-hashing device ids.
-        self.device_epoch = 0
         self._planner: Optional[RoutePlanner] = planner
         self._reset_derived_state()
         self._built_version = building.version
@@ -136,10 +134,9 @@ class SpatialService:
         self._wall_rtrees: Dict[FloorId, RTreeIndex[Segment]] = {}
         self._obstacle_indices: Dict[FloorId, GridIndex[Polygon]] = {}
         self._door_indices: Dict[FloorId, RTreeIndex[Door]] = {}
-        self._device_indices: Dict[FloorId, RTreeIndex[Tuple[int, object]]] = {}
-        self._indices_epoch = -1
+        #: (floor, origin x, origin y, reach) -> SightFan (one per device).
+        self._sight_fans: Dict[Tuple, SightFan] = {}
         self._floor_bounds: Dict[FloorId, BoundingBox] = {}
-        self._max_device_range: Dict[FloorId, float] = {}
         #: (floor, region corners) -> frozenset of partition ids whose bbox
         #: overlaps the region; used by the live monitors' record pruning.
         self._region_partitions: Dict[Tuple, frozenset] = {}
@@ -172,12 +169,10 @@ class SpatialService:
             "building": self.building,
             "config": self.config,
             "walking_speed": self.walking_speed,
-            "_devices": self._devices,
         }
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self.device_epoch = 0
         self._planner = None
         self._reset_derived_state()
         self._built_version = self.building.version
@@ -468,7 +463,7 @@ class SpatialService:
         )
 
     # ------------------------------------------------------------------ #
-    # (b) Line of sight: grid-bucket pruning + report LRU
+    # (b) Line of sight: grid-bucket pruning + report LRU, and sight fans
     # ------------------------------------------------------------------ #
     def sightline(self, floor_id: FloorId, origin: Point, target: Point) -> SightlineReport:
         """Line-of-sight report between two same-floor points (cached).
@@ -508,6 +503,32 @@ class SpatialService:
             obstacle_crossings=count_obstacle_crossings(sightline, obstacles),
         )
 
+    def sight_fan(self, floor_id: FloorId, origin: Point, reach: float) -> SightFan:
+        """Everything a sight line from *origin* to a target within *reach*
+        on *floor_id* can cross, as one :class:`SightFan` (memoized).
+
+        Its counts equal :meth:`sightline`'s: the wall and obstacle grids
+        only drop what lies outside the reach box.
+        """
+        self._check_version()
+        key = (floor_id, origin.x, origin.y, reach)
+        fan = self._sight_fans.get(key)
+        if fan is not None:
+            return fan
+        if self.enabled:
+            box = BoundingBox(
+                origin.x - reach, origin.y - reach, origin.x + reach, origin.y + reach
+            ).expanded(1e-6)
+            walls = self._wall_index(floor_id).query_box(box)
+            obstacles = self._obstacle_index(floor_id).query_box(box)
+        else:
+            floor = self.building.floor(floor_id)
+            walls, obstacles = floor.wall_segments(), floor.obstacle_polygons()
+        fan = SightFan(origin, walls, obstacles)
+        if self.enabled:
+            self._sight_fans[key] = fan
+        return fan
+
     def _wall_index(self, floor_id: FloorId) -> GridIndex[Segment]:
         index = self._wall_indices.get(floor_id)
         if index is None:
@@ -525,7 +546,7 @@ class SpatialService:
         return index
 
     # ------------------------------------------------------------------ #
-    # (c) Nearest-neighbour indices: doors, walls, devices
+    # (c) Nearest-neighbour indices: doors, walls
     # ------------------------------------------------------------------ #
     def nearest_door(self, floor_id: FloorId, point: Point) -> Optional[Door]:
         """The door on *floor_id* closest to *point* (``None`` if doorless)."""
@@ -562,69 +583,6 @@ class SpatialService:
         if not found:
             return math.inf
         return found[0].distance_to_point(point)
-
-    def candidate_devices(
-        self, floor_id: FloorId, point: Point, radius: float
-    ) -> List:
-        """Deployed devices on *floor_id* within *radius* of *point*.
-
-        Returns a superset-free list in **deployment order** — the order the
-        devices were attached in — because the RSSI generator consumes random
-        numbers per candidate: preserving the iteration order of the
-        original full scan is what keeps the noise stream, and therefore the
-        output, identical.
-        """
-        self._check_version()
-        self._refresh_device_indices()
-        if not self.enabled:
-            return [
-                device for device in self._devices
-                if device.floor_id == floor_id
-                and device.position.distance_to(point) <= radius
-            ]
-        index = self._device_indices.get(floor_id)
-        if index is None:
-            return []
-        box = BoundingBox(point.x - radius, point.y - radius,
-                          point.x + radius, point.y + radius)
-        hits = [
-            (order, device)
-            for order, device in index.query_box(box)
-            if device.position.distance_to(point) <= radius
-        ]
-        hits.sort(key=lambda pair: pair[0])
-        return [device for _, device in hits]
-
-    def max_device_range(self, floor_id: FloorId) -> float:
-        """Largest detection range among the devices on *floor_id* (0 if none)."""
-        self._check_version()
-        self._refresh_device_indices()
-        return self._max_device_range.get(floor_id, 0.0)
-
-    def attach_devices(self, devices: Sequence) -> None:
-        """Register the deployed devices to index (replaces any previous set)."""
-        self._devices = list(devices)
-        self.device_epoch += 1
-
-    @property
-    def devices(self) -> List:
-        return list(self._devices)
-
-    def _refresh_device_indices(self) -> None:
-        if self._indices_epoch == self.device_epoch:
-            return
-        self._indices_epoch = self.device_epoch
-        self._device_indices = {}
-        self._max_device_range = {}
-        by_floor: Dict[FloorId, List[Tuple[int, object]]] = {}
-        for order, device in enumerate(self._devices):
-            by_floor.setdefault(device.floor_id, []).append((order, device))
-            current = self._max_device_range.get(device.floor_id, 0.0)
-            self._max_device_range[device.floor_id] = max(current, device.detection_range)
-        for floor_id, entries in by_floor.items():
-            self._device_indices[floor_id] = RTreeIndex(
-                entries, lambda entry: _point_box(entry[1].position)
-            )
 
     def _wall_rtree(self, floor_id: FloorId) -> RTreeIndex[Segment]:
         # The wall *grid* serves box queries (LOS pruning); nearest-distance
@@ -725,10 +683,7 @@ class SpatialService:
 
     def __repr__(self) -> str:
         state = "enabled" if self.enabled else "disabled"
-        return (
-            f"SpatialService({self.building.building_id!r}, caches {state}, "
-            f"devices={len(self._devices)})"
-        )
+        return f"SpatialService({self.building.building_id!r}, caches {state})"
 
 
 __all__ = ["SpatialService"]

@@ -178,15 +178,22 @@ class SQLiteBackend(StorageBackend):
     def _index_statements(self, dataset: str) -> List[str]:
         spec = dataset_spec(dataset)
         indexes: List[Tuple[str, str]] = []
-        if spec.time_column is not None:
-            # Composite per-object time index plus a plain time index.
-            indexes.append(("object_time", f"object_id, {spec.time_column}"))
-            indexes.append(("time", spec.time_column))
+        time_column = spec.time_column
+        if time_column is not None:
+            # Per-object time index (unless the unique key is that very index)
+            # plus a plain time index.
+            if spec.unique_key != ("object_id", time_column):
+                indexes.append(("object_time", f"object_id, {time_column}"))
+            indexes.append(("time", time_column))
         if spec.spatial:
-            indexes.append(("grid", f"floor_id, cell_x, cell_y, {spec.time_column}"))
+            indexes.append(("grid", f"floor_id, cell_x, cell_y, {time_column}"))
         for column in spec.hash_indexes:
-            if column == "object_id" and spec.time_column is not None:
-                continue  # covered by the composite index
+            if column == "object_id" and time_column is not None:
+                continue  # covered by the per-object time or the unique index
+            if column == "floor_id" and time_column is not None:
+                # Equality on the floor plus a time window, in time order.
+                indexes.append(("floor_time", f"floor_id, {time_column}"))
+                continue
             indexes.append((column, column))
         if dataset == "proximity":
             indexes.append(("interval_end", "t_end"))

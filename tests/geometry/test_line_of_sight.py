@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.geometry import line_of_sight
 from repro.geometry.line_of_sight import (
+    SightFan,
     analyze_sightline,
     count_obstacle_crossings,
     count_wall_crossings,
@@ -99,3 +101,48 @@ class TestSightlineReport:
         )
         assert not has_line_of_sight(observed, device_behind_wall, walls=wall)
         assert has_line_of_sight(observed, device_in_open, walls=wall)
+
+
+class TestSightFan:
+    #: A wall, a wall collinear with sight lines along y = 5, a tiny wall
+    #: that a sight line crosses with a near-zero denominator (which
+    #: Segment.crosses does not count), and two obstacles.
+    WALLS = [
+        Segment(Point(5, 0), Point(5, 10)),
+        Segment(Point(1, 5), Point(3, 5)),
+        Segment(Point(5, 1e-11), Point(5, -1e-11)),
+    ]
+    OBSTACLES = [Polygon.rectangle(6, 4, 8, 6), Polygon.rectangle(-1, -1, 1, 1)]
+    TARGETS = [
+        Point(10, 5), Point(4, 5), Point(0, 5), Point(0, 0), Point(10, 1e-11),
+        Point(5, 10), Point(5, 3), Point(7, 5), Point(6, 4), Point(2, 8),
+    ]
+
+    def _expected(self, origin):
+        return (
+            [count_wall_crossings(Segment(origin, t), self.WALLS) for t in self.TARGETS],
+            [count_obstacle_crossings(Segment(origin, t), self.OBSTACLES) for t in self.TARGETS],
+        )
+
+    @pytest.mark.parametrize("origin", [Point(0, 0), Point(0, 5), Point(7, 5), Point(5, 0)])
+    def test_counts_equal_the_scalar_counts(self, origin):
+        fan = SightFan(origin, self.WALLS, self.OBSTACLES)
+        xs, ys = [t.x for t in self.TARGETS], [t.y for t in self.TARGETS]
+        assert fan.crossings(xs, ys) == self._expected(origin)
+
+    def test_near_parallel_tiny_wall_is_not_counted(self):
+        fan = SightFan(Point(0, 0), self.WALLS[2:], [])
+        assert fan.crossings([10.0], [1e-11]) == ([0], [0])
+
+    def test_counts_do_not_depend_on_the_pass_size(self, monkeypatch):
+        origin = Point(0, 5)
+        monkeypatch.setattr(line_of_sight, "PAIRS_PER_PASS", 4)
+        fan = SightFan(origin, self.WALLS, self.OBSTACLES)
+        xs, ys = [t.x for t in self.TARGETS], [t.y for t in self.TARGETS]
+        assert fan.crossings(xs, ys) == self._expected(origin)
+
+    def test_no_targets_and_no_geometry(self):
+        assert SightFan(Point(0, 0), [], []).crossings([1.0, 2.0], [0.0, 0.0]) == (
+            [0, 0], [0, 0]
+        )
+        assert SightFan(Point(0, 0), self.WALLS, self.OBSTACLES).crossings([], []) == ([], [])

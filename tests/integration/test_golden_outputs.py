@@ -1,4 +1,4 @@
-"""Golden digests: the stored output of two fixed runs, pinned across commits.
+"""Golden digests: the stored output of three fixed runs, pinned across commits.
 
 The equivalence suites compare two runs of the *same* code (workers=N against
 serial, cached against uncached).  These tests compare against constants, so
@@ -20,6 +20,7 @@ from repro.core.config import (
 from repro.core.pipeline import VitaPipeline
 from repro.core.toolkit import Vita
 from repro.core.types import PositioningMethod
+from repro.geometry.polygon import Polygon
 
 DATASETS = ("device", "trajectory", "rssi", "positioning", "probabilistic", "proximity")
 
@@ -62,6 +63,17 @@ STEP_PATH_GOLDEN = {
     "trajectory": (343, "a0cf3835a9ec36d9"),
     "rssi": (665, "79bf7eb5456240b2"),
     "positioning": (72, "ec951bdfccad6f7e"),
+    "probabilistic": (0, "e3b0c44298fc1c14"),
+    "proximity": (0, "e3b0c44298fc1c14"),
+}
+
+#: The step path on a floor with two deployed obstacles that sight lines
+#: cross, so the obstacle term of ``Nob`` is pinned too.
+OBSTACLE_GOLDEN = {
+    "device": (5, "7226f38a937ba460"),
+    "trajectory": (289, "053352dd161525c1"),
+    "rssi": (593, "db05c02f4b1b69a6"),
+    "positioning": (59, "8e78faae7147d2cd"),
     "probabilistic": (0, "e3b0c44298fc1c14"),
     "proximity": (0, "e3b0c44298fc1c14"),
 }
@@ -115,3 +127,19 @@ def test_step_path_matches_its_golden_digest():
         "fingerprinting", sampling_period=5.0, radio_map_spacing=6.0, radio_map_samples=3
     )
     assert warehouse_digest(vita.warehouse) == STEP_PATH_GOLDEN
+
+
+def test_obstacle_floor_matches_its_golden_digest():
+    vita = Vita(seed=29)
+    vita.use_synthetic_building("office", floors=1)
+    vita.environment.deploy_obstacle(0, Polygon.rectangle(10, 2, 12, 4))
+    vita.environment.deploy_obstacle(0, Polygon.rectangle(20, 6, 23, 8))
+    vita.deploy_devices("wifi", count_per_floor=5)
+    vita.generate_objects(
+        count=6, duration=60.0, time_step=0.5, min_lifespan=30.0, max_lifespan=60.0
+    )
+    vita.generate_rssi(sampling_period=2.0)
+    vita.generate_positioning(
+        "fingerprinting", sampling_period=5.0, radio_map_spacing=6.0, radio_map_samples=3
+    )
+    assert warehouse_digest(vita.warehouse) == OBSTACLE_GOLDEN

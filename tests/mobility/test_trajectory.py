@@ -1,5 +1,9 @@
 """Unit tests for trajectories and trajectory sets."""
 
+import math
+import random
+import time
+
 import pytest
 
 from repro.core.errors import MovementError
@@ -12,6 +16,35 @@ def _record(object_id="o1", t=0.0, x=0.0, y=0.0, floor=0, partition="p"):
         object_id=object_id,
         location=IndoorLocation("b", floor, partition_id=partition, x=x, y=y),
         t=t,
+    )
+
+
+def _brute_force_location(trajectory, t):
+    """``Trajectory.location_at`` by a linear scan (the reference)."""
+    records = trajectory.records
+    start, end = records[0].t, records[-1].t
+    if t < start or t > end:
+        if math.isclose(t, start, rel_tol=1e-9, abs_tol=1e-9):
+            t = start
+        elif math.isclose(t, end, rel_tol=1e-9, abs_tol=1e-9):
+            t = end
+        else:
+            return None
+    index = max(i for i, record in enumerate(records) if record.t <= t)
+    current = records[index]
+    if index == len(records) - 1 or math.isclose(current.t, t):
+        return current.location
+    following = records[index + 1]
+    if current.location.floor_id != following.location.floor_id:
+        return current.location
+    span = following.t - current.t
+    fraction = 0.0 if span <= 0 else (t - current.t) / span
+    x0, y0 = current.location.point()
+    x1, y1 = following.location.point()
+    return IndoorLocation(
+        current.location.building_id, current.location.floor_id,
+        partition_id=current.location.partition_id,
+        x=x0 + (x1 - x0) * fraction, y=y0 + (y1 - y0) * fraction,
     )
 
 
@@ -84,6 +117,33 @@ class TestInterpolation:
         trajectory.append(_record(t=10, floor=1, x=5))
         location = trajectory.location_at(5.0)
         assert location.floor_id == 0
+
+    def test_location_at_matches_a_brute_force_scan(self):
+        rng = random.Random(3)
+        trajectory = Trajectory("o1")
+        t = 0.0
+        for _ in range(200):
+            # Repeated timestamps (zero-length spans) and floor changes too.
+            t += rng.choice((0.0, 0.5, 1.0, 1.3))
+            trajectory.append(
+                _record(t=t, x=rng.uniform(0, 30), y=rng.uniform(0, 10),
+                        floor=rng.choice((0, 0, 0, 1)))
+            )
+        start, end = trajectory.start_time, trajectory.end_time
+        times = [rng.uniform(start - 5.0, end + 5.0) for _ in range(300)]
+        times += [record.t for record in trajectory.records]
+        times += [start, end, start - 1e-12, end + 1e-12, start + (end - start) * 1.0]
+        for query in times:
+            assert trajectory.location_at(query) == _brute_force_location(trajectory, query)
+
+    def test_location_at_is_logarithmic(self):
+        trajectory = Trajectory("o1")
+        for index in range(12_000):
+            trajectory.append(_record(t=index * 0.5, x=float(index % 40)))
+        started = time.perf_counter()
+        for index in range(6_000):
+            trajectory.location_at(index * 1.0 + 0.25)
+        assert time.perf_counter() - started < 1.0
 
     def test_resample_coarser(self, straight_walk):
         coarse = straight_walk.resample(2.0)

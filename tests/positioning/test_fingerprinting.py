@@ -1,5 +1,10 @@
 """Unit tests for fingerprinting (radio map, kNN, Naive Bayes) — Section 3.3 (2)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.errors import RadioMapError
@@ -48,6 +53,35 @@ class TestReferenceLocation:
         with_device = reference.signal_distance({"a": -50.0})
         without_device = reference.signal_distance({"b": -50.0})
         assert with_device < without_device
+
+    def test_signal_distance_does_not_depend_on_string_hashing(self):
+        # Set iteration order follows PYTHONHASHSEED; the distances (and so
+        # the kNN ranking of near-tied references) must not.
+        script = (
+            "import random\n"
+            "from repro.geometry.point import Point\n"
+            "from repro.positioning.fingerprinting import ReferenceLocation\n"
+            "rng = random.Random(4)\n"
+            "ids = [f'wifi_{i}' for i in range(16)]\n"
+            "out = []\n"
+            "for _ in range(200):\n"
+            "    mean = {d: rng.uniform(-95, -35) for d in rng.sample(ids, 9)}\n"
+            "    seen = {d: rng.uniform(-95, -35) for d in rng.sample(ids, 7)}\n"
+            "    reference = ReferenceLocation(0, Point(0.0, 0.0), mean_rssi=mean)\n"
+            "    out.append(reference.signal_distance(seen).hex())\n"
+            "print(' '.join(out))\n"
+        )
+        source = str(Path(__file__).resolve().parents[2] / "src")
+        outputs = []
+        for hash_seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=source)
+            completed = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                check=True,
+            )
+            outputs.append(completed.stdout)
+        assert outputs[0].count(" ") == 199
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_empty_reference_gives_infinite_distance(self):
         reference = ReferenceLocation(0, Point(1, 1))

@@ -10,19 +10,31 @@ buildings, random query points and random seeds:
   ``RoutePlanner`` on route cost (length and travel time);
 * sightline reports agree exactly with the unpruned
   ``analyze_sightline`` scan (grid buckets only skip walls that cannot
-  intersect the sight line).
+  intersect the sight line);
+* a sight fan's batched counts agree exactly with ``count_wall_crossings``
+  and ``count_obstacle_crossings`` over every wall and obstacle of the
+  floor, degenerate sight lines included.
 """
 
+import math
 import random
 
 from hypothesis import given, settings, strategies as st
 
 from repro.building.distance import RoutePlanner
-from repro.building.synthetic import building_by_name
+from repro.building.model import Obstacle
+from repro.building.synthetic import OfficeSpec, building_by_name, office_building
 from repro.core.config import SpatialConfig
 from repro.core.errors import RoutingError
-from repro.geometry.line_of_sight import analyze_sightline
+from repro.geometry.line_of_sight import (
+    SightFan,
+    analyze_sightline,
+    count_obstacle_crossings,
+    count_wall_crossings,
+)
 from repro.geometry.point import Point
+from repro.geometry.polygon import Polygon
+from repro.geometry.segment import Segment
 from repro.spatial import SpatialService
 
 BUILDING_NAMES = ("office", "mall", "clinic")
@@ -132,6 +144,76 @@ class TestSightlineEquivalence:
             assert cached.sightline(sf, sp, tp) == legacy
             assert cached.sightline(sf, sp, tp) == legacy  # cache hit path
             assert uncached.sightline(sf, sp, tp) == legacy
+
+
+def _obstructed_office():
+    building = office_building(OfficeSpec(floors=1))
+    floor = building.floor(0)
+    shapes = (
+        Polygon.rectangle(10, 2, 12, 4),
+        Polygon.rectangle(20, 6, 23, 8),
+        Polygon([Point(30.0, 2.0), Point(34.0, 2.5), Point(31.0, 5.0)]),
+    )
+    for index, shape in enumerate(shapes):
+        floor.add_obstacle(Obstacle(f"obstacle{index}", 0, shape))
+    return building
+
+
+_OBSTRUCTED = _obstructed_office()
+_WALLS = _OBSTRUCTED.floor(0).wall_segments()
+_OBSTACLES = _OBSTRUCTED.floor(0).obstacle_polygons()
+_KINDS = ("free", "on_wall", "wall_end", "in_obstacle", "on_line", "at_origin")
+
+
+@st.composite
+def fan_cases(draw):
+    """An origin and targets, mixing free points with the degenerate ones:
+    on a wall, on a wall endpoint, inside an obstacle, on the line of the
+    wall the origin lies on (collinear sight lines) and the origin itself
+    (zero-length sight lines)."""
+    fraction = st.floats(0.0, 1.0)
+    line = draw(st.sampled_from(_WALLS))
+
+    def point(kind, origin=None):
+        if kind == "free":
+            return Point(draw(st.floats(-2.0, 42.0)), draw(st.floats(-2.0, 20.0)))
+        if kind == "on_wall":
+            return draw(st.sampled_from(_WALLS)).point_at(draw(fraction))
+        if kind == "wall_end":
+            wall = draw(st.sampled_from(_WALLS))
+            return draw(st.sampled_from((wall.start, wall.end)))
+        if kind == "in_obstacle":
+            box = draw(st.sampled_from(_OBSTACLES)).bounding_box
+            return Point(box.min_x + (box.max_x - box.min_x) * draw(fraction),
+                         box.min_y + (box.max_y - box.min_y) * draw(fraction))
+        if kind == "on_line":
+            return line.point_at(draw(st.floats(-0.5, 1.5)))
+        return origin
+
+    origin = point(draw(st.sampled_from(_KINDS[:-1])))
+    kinds = draw(st.lists(st.sampled_from(_KINDS), min_size=1, max_size=12))
+    return origin, [point(kind, origin) for kind in kinds]
+
+
+class TestSightFanEquivalence:
+    @given(case=fan_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_fan_counts_match_the_scalar_counts(self, case):
+        origin, targets = case
+        expected_walls = [count_wall_crossings(Segment(origin, t), _WALLS) for t in targets]
+        expected_obstacles = [
+            count_obstacle_crossings(Segment(origin, t), _OBSTACLES) for t in targets
+        ]
+        xs, ys = [t.x for t in targets], [t.y for t in targets]
+        # The kernel over every wall and obstacle of the floor...
+        assert SightFan(origin, _WALLS, _OBSTACLES).crossings(xs, ys) == (
+            expected_walls, expected_obstacles
+        )
+        # ...and through the service, pruned to the reach the RSSI layer uses.
+        reach = max(math.hypot(origin.x - t.x, origin.y - t.y) for t in targets)
+        for config in (SpatialConfig(), SpatialConfig(enabled=False)):
+            fan = SpatialService(_OBSTRUCTED, config=config).sight_fan(0, origin, reach)
+            assert fan.crossings(xs, ys) == (expected_walls, expected_obstacles)
 
 
 class TestNearestNeighbourEquivalence:

@@ -141,6 +141,50 @@ class TestTrajectoryDrivenGeneration:
         assert generator.generate(TrajectorySet()) == []
 
 
+class TestOnePath:
+    """Every entry point makes the same measurements from the same noise stream."""
+
+    def test_trajectory_records_equal_per_sample_measure_all(
+        self, office, office_wifi, office_simulation
+    ):
+        batched = RSSIGenerator(office, office_wifi, RSSIGenerationConfig(seed=12))
+        single = RSSIGenerator(office, office_wifi, RSSIGenerationConfig(seed=12))
+        for trajectory in office_simulation.trajectories:
+            expected = []
+            t = trajectory.start_time
+            while t <= trajectory.end_time + 1e-9:
+                location = trajectory.location_at(min(t, trajectory.end_time))
+                if location is not None and location.has_point:
+                    expected.extend(single.measure_all(
+                        location.floor_id, Point(*location.point()),
+                        trajectory.object_id, round(t, 6),
+                    ))
+                t += batched.config.sampling_period
+            assert list(batched.iter_trajectory_records(trajectory)) == expected
+        assert expected, "vacuous comparison: no records generated"
+
+    def test_measure_all_equals_measure_per_device(self, office, office_wifi):
+        together = RSSIGenerator(office, office_wifi, RSSIGenerationConfig(seed=13))
+        apart = RSSIGenerator(office, office_wifi, RSSIGenerationConfig(seed=13))
+        for point in (Point(4.0, 3.0), Point(20.0, 9.0), Point(35.0, 15.0)):
+            records = together.measure_all(0, point, "o1", 0.0)
+            values = [apart.measure(device, 0, point) for device in office_wifi]
+            assert [(r.device_id, r.rssi) for r in records] == [
+                (device.device_id, value)
+                for device, value in zip(office_wifi, values) if value is not None
+            ]
+
+    def test_collect_fingerprint_equals_repeated_measure_all(self, office, office_wifi):
+        survey = RSSIGenerator(office, office_wifi, RSSIGenerationConfig(seed=14))
+        repeated = RSSIGenerator(office, office_wifi, RSSIGenerationConfig(seed=14))
+        point = Point(20.0, 9.0)
+        expected = {}
+        for _ in range(5):
+            for record in repeated.measure_all(0, point, "o1", 0.0):
+                expected.setdefault(record.device_id, []).append(record.rssi)
+        assert survey.collect_fingerprint(0, point, samples=5) == expected
+
+
 class TestFingerprintCollection:
     def test_collect_fingerprint_returns_samples_per_device(self, office, office_wifi):
         generator = RSSIGenerator(office, office_wifi, RSSIGenerationConfig(seed=7))

@@ -42,17 +42,19 @@ class TestPickleDropsCaches:
         assert route.length == warm_route.length
         assert clone.sightline(0, Point(2.0, 2.0), Point(30.0, 9.0)) == warm_sight
 
-    def test_pickle_keeps_configuration_and_devices(self, office, office_wifi):
-        service = SpatialService(office, devices=office_wifi)
+    def test_pickle_keeps_configuration_and_drops_sight_fans(self, office):
+        service = SpatialService(office)
+        fan = service.sight_fan(0, Point(2.0, 2.0), 30.0)
         clone = pickle.loads(pickle.dumps(service))
         assert clone.config == service.config
-        assert [d.device_id for d in clone.devices] == [
-            d.device_id for d in office_wifi
-        ]
+        assert not clone._sight_fans
+        assert clone.sight_fan(0, Point(2.0, 2.0), 30.0).crossings([30.0], [9.0]) == (
+            fan.crossings([30.0], [9.0])
+        )
 
     def test_shard_context_with_spatial_service_is_picklable(self, office, office_wifi):
         config = VitaConfig(seed=5)
-        spatial = SpatialService(office, devices=office_wifi, config=config.spatial)
+        spatial = SpatialService(office, config=config.spatial)
         spatial.shortest_route(0, Point(4.0, 3.0), 1, Point(35.0, 3.0))  # warm
         context = ShardContext(
             config=config,

@@ -174,61 +174,71 @@ class TestNearestNeighbour:
         assert math.isinf(service.nearest_door_distance(0, Point(2.0, 2.0)))
 
 
-class TestDeviceIndex:
-    def test_candidates_preserve_deployment_order(self, office, office_wifi):
-        service = SpatialService(office, devices=office_wifi)
-        point = office_wifi[0].position
-        radius = service.max_device_range(office_wifi[0].floor_id) * 1.0
-        candidates = service.candidate_devices(office_wifi[0].floor_id, point, radius)
-        expected = [
-            device for device in office_wifi
-            if device.floor_id == office_wifi[0].floor_id
-            and device.position.distance_to(point) <= radius
-        ]
-        assert [d.device_id for d in candidates] == [d.device_id for d in expected]
+class TestSightFan:
+    @staticmethod
+    def _obstructed_office():
+        building = office_building(OfficeSpec(floors=1))
+        floor = building.floor(0)
+        for index, box in enumerate(((10, 2, 12, 4), (20, 6, 23, 8))):
+            floor.add_obstacle(
+                Obstacle(f"cabinet{index}", 0, Polygon.rectangle(*box), attenuation_db=4.0)
+            )
+        return building
 
-    def test_candidates_match_uncached_filter(self, office, office_wifi):
-        cached = SpatialService(office, devices=office_wifi)
-        plain = SpatialService(
-            office, devices=office_wifi, config=SpatialConfig(enabled=False)
+    def test_counts_match_sightline_reports(self):
+        building = self._obstructed_office()
+        service = SpatialService(building)
+        origin = Point(4.0, 3.0)
+        targets = [Point(x + 0.5, y + 0.25) for x in range(0, 40, 3) for y in range(0, 18, 3)]
+        reach = max(origin.distance_to(target) for target in targets)
+        walls, obstacles = service.sight_fan(0, origin, reach).crossings(
+            [target.x for target in targets], [target.y for target in targets]
         )
-        for point in (Point(5.0, 5.0), Point(20.0, 8.0)):
-            for radius in (5.0, 15.0, 40.0):
-                assert [
-                    d.device_id for d in cached.candidate_devices(0, point, radius)
-                ] == [d.device_id for d in plain.candidate_devices(0, point, radius)]
+        reports = [service.sightline(0, origin, target) for target in targets]
+        assert walls == [report.wall_crossings for report in reports]
+        assert obstacles == [report.obstacle_crossings for report in reports]
+        assert max(walls) > 0 and max(obstacles) > 0, "vacuous: nothing crossed"
 
-    def test_attach_devices_replaces_the_index(self, office, office_wifi):
-        service = SpatialService(office, devices=office_wifi[:2])
-        epoch = service.device_epoch
-        service.attach_devices(office_wifi)
-        assert service.device_epoch > epoch
-        everything = service.candidate_devices(0, Point(18.0, 5.0), 1e6)
-        on_floor = [d for d in office_wifi if d.floor_id == 0]
-        assert len(everything) == len(on_floor)
+    def test_reach_prunes_walls_without_changing_counts(self):
+        building = self._obstructed_office()
+        origin, reach = Point(11.0, 5.0), 6.0
+        targets = [Point(11.0 + dx, 5.0 + dy) for dx in (-5.5, -2.0, 0.0, 3.0, 5.9)
+                   for dy in (-2.9, 0.0, 2.9)]
+        xs, ys = [target.x for target in targets], [target.y for target in targets]
+        pruned = SpatialService(building).sight_fan(0, origin, reach)
+        full = SpatialService(building, config=SpatialConfig(enabled=False)).sight_fan(
+            0, origin, reach
+        )
+        assert pruned._width < full._width
+        assert pruned.crossings(xs, ys) == full.crossings(xs, ys)
 
-    def test_rssi_generator_survives_service_repointing(self, office, office_wifi):
-        # A shared service re-pointed at a different deployment must not
-        # leak foreign devices into a live generator's measurements.
+    def test_fans_are_memoized_until_the_building_changes(self, fresh_office):
+        service = SpatialService(fresh_office)
+        origin, target = Point(4.0, 3.0), Point(8.0, 3.0)
+        fan = service.sight_fan(0, origin, 10.0)
+        assert service.sight_fan(0, origin, 10.0) is fan
+        assert fan.crossings([target.x], [target.y]) == ([0], [0])
+        fresh_office.floor(0).add_obstacle(
+            Obstacle("cabinet", 0, Polygon.rectangle(5.0, 2.5, 6.0, 3.5))
+        )
+        rebuilt = service.sight_fan(0, origin, 10.0)
+        assert rebuilt is not fan
+        assert rebuilt.crossings([target.x], [target.y]) == ([0], [1])
+
+    def test_generators_with_different_devices_share_one_service(self, office, office_wifi):
         from repro.rssi.measurement import RSSIGenerationConfig, RSSIGenerator
 
-        service = SpatialService(office, devices=office_wifi)
-        generator = RSSIGenerator(
-            office, office_wifi[:3],  # a subset: index unusable from the start
-            RSSIGenerationConfig(seed=1), spatial=service,
-        )
+        service = SpatialService(office)
         point = office_wifi[0].position
-        records = generator.measure_all(office_wifi[0].floor_id, point, "o1", 0.0)
-        allowed = {d.device_id for d in office_wifi[:3]}
-        assert {r.device_id for r in records} <= allowed
-        # Now a full-set generator flips to the index, another consumer
-        # re-points the service, and the generator must fall back cleanly.
-        full = RSSIGenerator(
-            office, office_wifi, RSSIGenerationConfig(seed=1), spatial=service
+        floor_id = office_wifi[0].floor_id
+        few = RSSIGenerator(office, office_wifi[:3], RSSIGenerationConfig(seed=1), spatial=service)
+        everyone = RSSIGenerator(office, office_wifi, RSSIGenerationConfig(seed=1), spatial=service)
+        alone = RSSIGenerator(office, office_wifi, RSSIGenerationConfig(seed=1))
+        allowed = {device.device_id for device in office_wifi[:3]}
+        assert {r.device_id for r in few.measure_all(floor_id, point, "o1", 0.0)} <= allowed
+        assert everyone.measure_all(floor_id, point, "o1", 0.0) == alone.measure_all(
+            floor_id, point, "o1", 0.0
         )
-        service.attach_devices(office_wifi[:1])
-        records = full.measure_all(office_wifi[0].floor_id, point, "o1", 0.0)
-        assert {r.device_id for r in records} <= {d.device_id for d in office_wifi}
 
 
 class TestLocateAndBounds:

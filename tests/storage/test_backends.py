@@ -319,6 +319,63 @@ class TestSQLitePersistence:
         assert any("idx_trajectory" in row[-1] for row in plan)
         backend.close()
 
+    def test_floor_window_limit_reads_an_index_in_time_order(self, tmp_path):
+        warehouse = DataWarehouse(SQLiteBackend(path=tmp_path / "plan3.sqlite"))
+        warehouse.backend.insert_rows("trajectory", [
+            TrajectoryRecord(f"o{i % 3}", _loc(1.0, 1.0, floor=i % 2), float(i)).as_record()
+            for i in range(60)
+        ])
+        warehouse.flush()
+        query = warehouse.query("trajectory").during(10.0, 40.0).on_floor(1).limit(5)
+        sql = next(step for step in query.explain()["pushed"] if step.startswith("sql: "))[5:]
+        assert "ORDER BY t ASC, rowid LIMIT 5" in sql
+        plan = warehouse.backend._connection.execute(
+            "EXPLAIN QUERY PLAN " + sql, (1, 10.0, 40.0)
+        ).fetchall()
+        assert any("idx_trajectory_floor_time" in row[-1] for row in plan)
+        assert not any("TEMP B-TREE" in row[-1] for row in plan)
+        assert [row["t"] for row in query.all()] == [11.0, 13.0, 15.0, 17.0, 19.0]
+        warehouse.close()
+
+    def test_no_index_duplicates_the_unique_key(self, tmp_path):
+        backend = SQLiteBackend(path=tmp_path / "indexes.sqlite")
+        columns = {}
+        for (name,) in backend._connection.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'index' AND name NOT LIKE 'sqlite_%'"
+        ).fetchall():
+            columns[name] = tuple(
+                row[2] for row in backend._connection.execute(f"PRAGMA index_info({name})")
+            )
+        assert "idx_trajectory_object_time" not in columns
+        assert "idx_probabilistic_object_time" not in columns
+        assert columns["idx_positioning_object_time"] == ("object_id", "t")
+        assert columns["uq_positioning"] == ("object_id", "t", "method")
+        assert columns["idx_trajectory_floor_time"] == ("floor_id", "t")
+        by_columns = {}
+        for name, indexed in columns.items():
+            by_columns.setdefault((name.split("_")[1], indexed), []).append(name)
+        assert all(len(names) == 1 for names in by_columns.values()), by_columns
+        backend.close()
+
+    def test_older_file_gains_the_new_index_and_keeps_its_own(self, tmp_path):
+        path = tmp_path / "older.sqlite"
+        backend = SQLiteBackend(path=path)
+        backend._connection.executescript(
+            "DROP INDEX idx_trajectory_floor_time;"
+            "CREATE INDEX idx_trajectory_floor_id ON trajectory (floor_id);"
+            "CREATE INDEX idx_trajectory_object_time ON trajectory (object_id, t);"
+        )
+        backend.close()
+        reopened = SQLiteBackend(path=path)
+        names = {
+            name for (name,) in reopened._connection.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'index'"
+            )
+        }
+        assert {"idx_trajectory_floor_time", "idx_trajectory_floor_id",
+                "idx_trajectory_object_time"} <= names
+        reopened.close()
+
 
 class TestBackendFactory:
     def test_registry(self):
