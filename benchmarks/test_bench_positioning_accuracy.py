@@ -11,16 +11,11 @@ on): fingerprinting < trilateration in coordinate error; proximity provides
 only symbolic collocation; more devices and less noise help every method.
 """
 
-import statistics
-
 import pytest
 
-from conftest import make_building, deploy_wifi, generate_rssi, print_table, simulate
+from conftest import make_building, deploy_wifi, print_table, record_bench, simulate
 
 from repro.analysis.accuracy import evaluate_positioning, evaluate_proximity
-from repro.core.types import DeviceType
-from repro.devices.controller import DeviceDeploymentRequest, PositioningDeviceController
-from repro.devices.deployment import CheckPointDeployment
 from repro.positioning.base import build_windows
 from repro.positioning.fingerprinting import KNNFingerprinting, RadioMap
 from repro.positioning.proximity import ProximityMethod
@@ -29,6 +24,19 @@ from repro.rssi.measurement import RSSIGenerationConfig, RSSIGenerator
 from repro.rssi.noise import FluctuationNoiseModel
 
 POSITIONING_PERIOD = 5.0
+AREA = "positioning_accuracy"
+
+
+def _record_report(method: str, report) -> None:
+    """Publish one method's accuracy figures to BENCH_positioning_accuracy.json."""
+    record_bench(AREA, **{
+        f"{method}_mean_error_m": round(report.mean_error, 3),
+        f"{method}_median_error_m": round(report.median_error, 3),
+        f"{method}_p90_error_m": round(report.p90_error, 3),
+        f"{method}_room_hit_rate": round(report.partition_hit_rate, 4),
+        f"{method}_floor_accuracy": round(report.floor_accuracy, 4),
+        f"{method}_estimates": report.matched,
+    })
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +90,10 @@ class TestMethodComparison:
         trilateration_report = evaluate_positioning(trilateration, simulation.trajectories)
         fingerprinting_report = evaluate_positioning(fingerprinting, simulation.trajectories)
         proximity_report = evaluate_proximity(proximity, simulation.trajectories, devices)
+        _record_report("trilateration", trilateration_report)
+        _record_report("knn", fingerprinting_report)
+        record_bench(AREA, proximity_in_range_fraction=round(
+            proximity_report.in_range_fraction, 4))
         print_table(
             "ACC-METHODS: positioning accuracy (office, 16 Wi-Fi APs, sigma=2 dB)",
             ["method", "estimates", "mean err (m)", "median err (m)", "room hit rate",
@@ -126,6 +138,10 @@ class TestDeviceDensitySweep:
             return errors
 
         errors = benchmark.pedantic(sweep, rounds=1, iterations=1)
+        record_bench(AREA, **{
+            f"trilateration_mean_error_m_{count}_aps_per_floor": round(error, 3)
+            for count, error in errors.items()
+        })
         print_table(
             "ACC-METHODS: trilateration error vs device density",
             ["APs per floor", "mean error (m)"],
@@ -153,6 +169,10 @@ class TestNoiseSweep:
             return errors
 
         errors = benchmark.pedantic(sweep, rounds=1, iterations=1)
+        record_bench(AREA, **{
+            f"knn_mean_error_m_sigma_{sigma}_db": round(error, 3)
+            for sigma, error in errors.items()
+        })
         print_table(
             "ACC-METHODS: fingerprinting error vs fluctuation noise",
             ["sigma (dB)", "mean error (m)"],

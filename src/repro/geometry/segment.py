@@ -53,7 +53,7 @@ class Segment:
         """The point on the segment closest to *point*."""
         direction = self.end - self.start
         length_sq = direction.dot(direction)
-        if length_sq <= _EPS:
+        if length_sq == 0.0:
             return self.start
         t = (point - self.start).dot(direction) / length_sq
         t = max(0.0, min(1.0, t))

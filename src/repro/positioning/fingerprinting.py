@@ -18,6 +18,13 @@ Two online algorithms are provided:
 * :class:`NaiveBayesFingerprinting` — probabilistic; assumes per-device
   Gaussian RSSI distributions at each reference location and returns a set of
   candidate locations with probabilities.
+
+kNN reads the radio map once into a reference × device matrix and scores
+every reference against a window in one numpy pass.  The references whose
+score lies within a 1e-9 relative slack of the k-th score are re-ranked with
+:meth:`ReferenceLocation.signal_distance`, the only exact distance formula,
+so the neighbours chosen are those of a full sort by
+``(signal_distance, index)``, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +33,8 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.building.model import Building, Partition
 from repro.core.errors import RadioMapError
@@ -43,6 +52,11 @@ from repro.rssi.measurement import RSSIGenerator
 
 #: RSSI assumed for a device that is expected but not heard at a location.
 MISSING_RSSI_DBM = -100.0
+
+#: Relative slack above the k-th approximate kNN score within which
+#: references are re-ranked exactly.  Summing at most a few hundred
+#: non-negative terms in another order moves a score by far less (~1e-14).
+_RERANK_SLACK = 1e-9
 
 
 @dataclass
@@ -198,7 +212,11 @@ class _FingerprintingBase(PositioningMethodBase):
 
 
 class KNNFingerprinting(_FingerprintingBase):
-    """Deterministic k-nearest-neighbours in signal space."""
+    """Deterministic k-nearest-neighbours in signal space.
+
+    The radio map is read once, at construction, into a reference × device
+    matrix; references added to the map afterwards are not seen.
+    """
 
     name = "fingerprinting-knn"
 
@@ -214,19 +232,62 @@ class KNNFingerprinting(_FingerprintingBase):
         if k < 1:
             raise RadioMapError("k must be at least 1")
         self.k = k
+        references = radio_map.references
+        device_ids = sorted({device_id for ref in references for device_id in ref.mean_rssi})
+        self._columns = {device_id: column for column, device_id in enumerate(device_ids)}
+        #: Surveyed mean RSSI per (reference, device), MISSING_RSSI_DBM where
+        #: the reference did not hear the device, and whether it did.
+        self._signal = np.array(
+            [[ref.mean_rssi.get(device_id, MISSING_RSSI_DBM) for device_id in device_ids]
+             for ref in references],
+            dtype=float,
+        )
+        self._heard = np.array(
+            [[device_id in ref.mean_rssi for device_id in device_ids] for ref in references],
+            dtype=bool,
+        )
+
+    def nearest(self, observation: Dict[DeviceId, float]) -> List[ReferenceLocation]:
+        """The *k* references nearest to *observation*, ordered by
+        ``(signal_distance, index)`` exactly as a full sort would order them.
+
+        One numpy pass scores every reference with the same terms as
+        :meth:`ReferenceLocation.signal_distance`, summed in another order,
+        so a score may differ from the exact distance in its last bits.  Every
+        reference within :data:`_RERANK_SLACK` of the k-th score is therefore
+        re-ranked with the exact distance.
+        """
+        if not observation:
+            return []
+        references = self.radio_map.references
+        vector = np.full(len(self._columns), MISSING_RSSI_DBM)
+        observed = np.zeros(len(self._columns), dtype=bool)
+        # Observed devices absent from the radio map add the same term, and
+        # one device to the union, for every reference.
+        unmapped_total = 0.0
+        unmapped = 0
+        for device_id, value in observation.items():
+            column = self._columns.get(device_id)
+            if column is None:
+                unmapped_total += (MISSING_RSSI_DBM - value) ** 2
+                unmapped += 1
+            else:
+                vector[column] = value
+                observed[column] = True
+        # A device heard by neither side has MISSING_RSSI_DBM on both and adds 0.
+        totals = np.square(self._signal - vector).sum(axis=1) + unmapped_total
+        union = np.count_nonzero(self._heard | observed, axis=1) + unmapped
+        scores = np.sqrt(totals / union)
+        k = min(self.k, len(references))
+        kth = np.partition(scores, k - 1)[k - 1]
+        candidates = np.flatnonzero(scores <= kth * (1.0 + _RERANK_SLACK)).tolist()
+        ranked = sorted(
+            (references[index].signal_distance(observation), index) for index in candidates
+        )
+        return [references[index] for _, index in ranked[: self.k]]
 
     def estimate_window(self, window: ObservationWindow) -> Optional[PositioningRecord]:
-        observation = window.mean_rssi_by_device()
-        if not observation:
-            return None
-        scored = sorted(
-            (
-                (reference.signal_distance(observation), index, reference)
-                for index, reference in enumerate(self.radio_map.references)
-            ),
-            key=lambda triple: (triple[0], triple[1]),
-        )
-        nearest = [reference for _, _, reference in scored[: self.k]]
+        nearest = self.nearest(window.mean_rssi_by_device())
         if not nearest:
             return None
         # Average the nearest reference coordinates, restricted to the most

@@ -54,8 +54,12 @@ class Table:
         self._hash: Dict[str, Dict[Any, List[int]]] = {
             column: {} for column in schema.hash_indexes
         }
-        # Sorted list of (key, row_index) pairs for the ordered index.
+        # (key, row_index) pairs of the ordered index, appended on insert and
+        # sorted on the first ordered read after a write.  Row ids only grow,
+        # so the sorted list is what keeping it sorted on every insert gives,
+        # without an O(n) list shift per row.
         self._ordered: List[Tuple[Any, int]] = []
+        self._ordered_dirty = False
         #: Existing unique-key tuples (only populated when the schema has one).
         self._unique: set = set()
 
@@ -85,8 +89,8 @@ class Table:
         for column in self.schema.hash_indexes:
             self._hash[column].setdefault(stored[column], []).append(row_id)
         if self.schema.ordered_index is not None:
-            key = stored[self.schema.ordered_index]
-            bisect.insort(self._ordered, (key, row_id))
+            self._ordered.append((stored[self.schema.ordered_index], row_id))
+            self._ordered_dirty = True
         if self.schema.unique_key:
             self._unique.add(self._key_of(stored))
         return row_id
@@ -125,6 +129,7 @@ class Table:
         for index in self._hash.values():
             index.clear()
         self._ordered.clear()
+        self._ordered_dirty = False
         self._unique.clear()
 
     # ------------------------------------------------------------------ #
@@ -153,33 +158,35 @@ class Table:
             return [self._rows[i] for i in self._hash[column].get(value, [])]
         return [row for row in self._rows if row.get(column) == value]
 
-    def range(self, low: Any, high: Any) -> List[Row]:
-        """Rows whose ordered-index key lies in ``[low, high]``."""
+    def _sorted_index(self, purpose: str) -> List[Tuple[Any, int]]:
+        """The ordered index, sorted (raises when the table has none)."""
         if self.schema.ordered_index is None:
             raise StorageError(
-                f"table {self.schema.name}: has no ordered index for range queries"
+                f"table {self.schema.name}: has no ordered index for {purpose}"
             )
-        start = bisect.bisect_left(self._ordered, (low, -1))
-        end = bisect.bisect_right(self._ordered, (high, len(self._rows)))
-        return [self._rows[row_id] for _, row_id in self._ordered[start:end]]
+        if self._ordered_dirty:
+            self._ordered.sort()
+            self._ordered_dirty = False
+        return self._ordered
+
+    def range(self, low: Any, high: Any) -> List[Row]:
+        """Rows whose ordered-index key lies in ``[low, high]``."""
+        ordered = self._sorted_index("range queries")
+        start = bisect.bisect_left(ordered, (low, -1))
+        end = bisect.bisect_right(ordered, (high, len(self._rows)))
+        return [self._rows[row_id] for _, row_id in ordered[start:end]]
 
     def ordered_bounds(self) -> Optional[Tuple[Any, Any]]:
         """``(min, max)`` of the ordered-index key, or ``None`` when empty."""
-        if self.schema.ordered_index is None:
-            raise StorageError(
-                f"table {self.schema.name}: has no ordered index for bounds queries"
-            )
-        if not self._ordered:
+        ordered = self._sorted_index("bounds queries")
+        if not ordered:
             return None
-        return (self._ordered[0][0], self._ordered[-1][0])
+        return (ordered[0][0], ordered[-1][0])
 
     def iter_ordered(self) -> Iterator[Row]:
         """Every row, in ordered-index key order (single sorted pass)."""
-        if self.schema.ordered_index is None:
-            raise StorageError(
-                f"table {self.schema.name}: has no ordered index for ordered iteration"
-            )
-        return (self._rows[row_id] for _, row_id in self._ordered)
+        ordered = self._sorted_index("ordered iteration")
+        return (self._rows[row_id] for _, row_id in ordered)
 
     def select(self, predicate: Callable[[Row], bool]) -> List[Row]:
         """Full scan with an arbitrary predicate."""

@@ -150,3 +150,14 @@ class TestEndToEnd:
         report = evaluate_positioning(estimates, office_simulation.trajectories)
         assert report.mean_error < 15.0
         assert report.floor_accuracy > 0.9
+
+    def test_damped_refinement_accuracy_guard(self, office, office_wifi, office_rssi, office_simulation):
+        # The undamped Gauss–Newton refinement this replaced scored 7.76 m
+        # mean and 13.25 m p90 on this data; the damped solve about 6.0 / 9.5.
+        from repro.analysis.accuracy import evaluate_positioning
+
+        method = TrilaterationMethod(office, office_wifi)
+        estimates = method.estimate(build_windows(office_rssi, period=5.0))
+        report = evaluate_positioning(estimates, office_simulation.trajectories)
+        assert report.mean_error < 7.0
+        assert report.p90_error < 11.0

@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.geometry.decompose import DecompositionConfig, decompose, total_area
 from repro.geometry.point import Point
@@ -45,6 +45,8 @@ class TestPointProperties:
 
 class TestSegmentProperties:
     @given(points(), points(), points())
+    # A segment far shorter than 1e-4 m, queried at its end.
+    @example(Point(0.0, 1e-5), Point(0.0, 0.0), Point(0.0, 0.0))
     def test_closest_point_is_on_segment_and_closest_among_samples(self, a, b, query):
         segment = Segment(a, b)
         closest = segment.closest_point_to(query)

@@ -1,5 +1,10 @@
 """Unit tests for the in-memory indexed table."""
 
+import bisect
+import random
+import statistics
+import time
+
 import pytest
 
 from repro.core.errors import StorageError
@@ -106,3 +111,72 @@ class TestRangeAndAggregation:
         times = [row["t"] for row in rows]
         assert times == sorted(times)
         assert len(rows) == 6
+
+
+def _time_table() -> Table:
+    return Table(TableSchema(name="events", columns=("object_id", "t"), ordered_index="t"))
+
+
+class TestOrderedIndexCost:
+    """The ordered index is appended to on insert and sorted on the next
+    ordered read, so a row costs the same however large the table is."""
+
+    def test_interleaved_writes_and_ordered_reads_match_an_insort_reference(self):
+        rng = random.Random(5)
+        table = _time_table()
+        rows = []
+        reference = []  # (t, row id), kept sorted on every insert
+        for _ in range(400):
+            action = rng.random()
+            if action < 0.5:
+                batch = [
+                    {"object_id": f"o{rng.randrange(4)}", "t": float(rng.randrange(40))}
+                    for _ in range(rng.randrange(1, 9))
+                ]
+                table.insert_many(batch)
+            elif action < 0.6:
+                batch = [{"object_id": "single", "t": rng.uniform(0.0, 40.0)}]
+                table.insert(batch[0])
+            elif action < 0.62:
+                table.clear()
+                rows, reference = [], []
+                continue
+            else:
+                low = float(rng.randrange(45)) - 2.0
+                high = low + rng.choice((0.0, 1.0, 5.0, 50.0))
+                expected = [rows[i] for t, i in reference if low <= t <= high]
+                assert table.range(low, high) == expected
+                assert list(table.iter_ordered()) == [rows[i] for _, i in reference]
+                bounds = (reference[0][0], reference[-1][0]) if reference else None
+                assert table.ordered_bounds() == bounds
+                continue
+            for row in batch:
+                bisect.insort(reference, (row["t"], len(rows)))
+                rows.append(row)
+
+    def test_insert_cost_per_row_does_not_grow_with_the_table(self):
+        # Four time-sorted runs of 50,000 rows that each restart at t = 0 (one
+        # per shard of a streaming run), inserted in batches of 5,000.  The
+        # median batch that found >= 160k rows in the table is compared with
+        # the median one that found < 40k; medians, and the best of three
+        # builds, filter out preemption and collector pauses.
+        run = [{"object_id": "o", "t": index * 0.5} for index in range(50_000)]
+
+        def late_over_early() -> float:
+            table = _time_table()
+            early, late = [], []
+            for _ in range(4):
+                for offset in range(0, len(run), 5000):
+                    size = len(table)
+                    started = time.perf_counter()
+                    table.insert_many(run[offset:offset + 5000])
+                    elapsed = time.perf_counter() - started
+                    if size < 40_000:
+                        early.append(elapsed)
+                    elif size >= 160_000:
+                        late.append(elapsed)
+            assert len(table.range(0.0, 25_000.0)) == 200_000
+            return statistics.median(late) / statistics.median(early)
+
+        ratio = min(late_over_early() for _ in range(3))
+        assert ratio <= 1.5, ratio
