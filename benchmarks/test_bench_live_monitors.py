@@ -7,7 +7,10 @@ warehouse once per window.  This bench evaluates an identical monitor set
 both ways over the same generated workload, asserts the incremental side is
 at least 2x faster, and spot-checks that both sides produce identical
 per-window answers (the replay-equivalence contract, held exhaustively by
-``tests/properties/test_property_live.py``).
+``tests/properties/test_property_live.py``).  Each side is timed as the best
+of ``REPEATS`` runs, each with a fresh engine or fresh queries, and the two
+sides take turns, so a slow spell of a shared host does not decide the
+floor.
 
 Run with ``pytest benchmarks/test_bench_live_monitors.py -s`` to see the
 table; with sliding windows (slide < window) the naive side re-reads every
@@ -32,6 +35,8 @@ TOP_K = 5
 #: Clones of the base simulation (distinct object ids): a bigger stream
 #: stabilises the timing without paying for a bigger simulation.
 CLONES = 3
+#: Timed runs per side; the fastest one counts.
+REPEATS = 3
 
 
 @pytest.fixture(scope="module")
@@ -91,17 +96,22 @@ def _naive(warehouse, window_bounds):
     return density, visits
 
 
+def _timed(run):
+    start = time.perf_counter()
+    result = run()
+    return result, time.perf_counter() - start
+
+
 def test_incremental_monitors_beat_naive_per_window_requery(live_workload):
     records, warehouse = live_workload
 
-    start = time.perf_counter()
-    report = _incremental(records)
-    incremental_seconds = time.perf_counter() - start
-
-    bounds = [(w.t_start, w.t_end) for w in report.results["occ"].windows]
-    start = time.perf_counter()
-    naive_density, naive_visits = _naive(warehouse, bounds)
-    naive_seconds = time.perf_counter() - start
+    incremental_seconds = naive_seconds = float("inf")
+    for _ in range(REPEATS):
+        report, seconds = _timed(lambda: _incremental(records))
+        incremental_seconds = min(incremental_seconds, seconds)
+        bounds = [(w.t_start, w.t_end) for w in report.results["occ"].windows]
+        (naive_density, naive_visits), seconds = _timed(lambda: _naive(warehouse, bounds))
+        naive_seconds = min(naive_seconds, seconds)
 
     # Identical answers first: speed without the contract is worthless.
     assert report.results["occ"].values() == naive_density

@@ -176,3 +176,59 @@ class TestStreamingThroughput:
         # ...yet the pipeline never held more than the flush budget pending.
         assert report.max_pending <= flush_every
         assert max(event.pending_records for event in events) <= flush_every
+
+    def test_parallel_streaming_matches_serial(self, benchmark, monkeypatch):
+        """workers=2 over 4 shards into memory: the shard outputs cross the
+        process boundary as row tuples, and the stored rows equal a serial
+        run's.  Also reports the pickled hand-off size per record."""
+        import pickle
+
+        from repro.core import pipeline
+        from repro.core.config import DeviceConfig, EnvironmentConfig, ObjectConfig, VitaConfig
+        from repro.core.pipeline import VitaPipeline
+        from repro.storage.backends.base import DATASETS
+
+        config = VitaConfig(
+            environment=EnvironmentConfig(building="office", floors=2),
+            devices=[DeviceConfig(count_per_floor=6)],
+            objects=ObjectConfig(count=30, duration=DURATION, time_step=0.5),
+            seed=7,
+            shards=4,
+        )
+        result = benchmark.pedantic(
+            lambda: VitaPipeline(config).run_streaming(workers=2),
+            rounds=1, iterations=1,
+        )
+        report = result.report
+
+        # The serial reference, observing the shard outputs the parent writes
+        # (workers=N ships exactly these, so their pickled size is the
+        # hand-off's).
+        outputs = []
+        iter_shard_outputs = pipeline.iter_shard_outputs
+
+        def observed(*args, **kwargs):
+            for output in iter_shard_outputs(*args, **kwargs):
+                outputs.append(output)
+                yield output
+
+        monkeypatch.setattr(pipeline, "iter_shard_outputs", observed)
+        serial = VitaPipeline(config).run_streaming(workers=1)
+        for dataset in DATASETS:
+            assert result.warehouse.query(dataset).all() == serial.warehouse.query(dataset).all()
+        shipped = sum(output.total_records for output in outputs)
+        bytes_per_record = sum(len(pickle.dumps(output)) for output in outputs) / shipped
+
+        print_table(
+            "THROUGHPUT: parallel streaming (workers=2, 4 shards, memory engine)",
+            ["records", "records/s", "shard output B/record", "workers"],
+            [[report.total_records, f"{report.records_per_second:,.0f}",
+              f"{bytes_per_record:.1f}", report.workers]],
+        )
+        record_bench(
+            "throughput",
+            streaming_parallel_records_per_second=round(report.records_per_second, 1),
+            shard_output_bytes_per_record=round(bytes_per_record, 1),
+        )
+        assert report.workers == 2 and report.shard_count == 4
+        assert report.total_records == serial.report.total_records > 0

@@ -13,9 +13,11 @@ paper:
 3. **Positioning Layer** — generate raw RSSI measurements at the RSSI sampling
    frequency and derive positioning data with the chosen method.
 
-Layers 2 and 3 run shard by shard (:mod:`repro.core.streaming`) and every
-record streams into a :class:`~repro.storage.repositories.DataWarehouse` in
-bounded batches, so that the Data Stream APIs can query it afterwards.
+Layers 2 and 3 run shard by shard (:mod:`repro.core.streaming`); each shard
+turns its records into stored rows once, and the rows stream into a
+:class:`~repro.storage.repositories.DataWarehouse` in bounded batches (and
+into any attached monitors), so that the Data Stream APIs can query them
+afterwards.
 """
 
 from __future__ import annotations
@@ -331,9 +333,9 @@ class VitaPipeline:
                     # the outputs arrive shard-ordered for any workers value, so
                     # monitor emission is identical to a serial run.
                     engine.begin_shard(output.shard_id)
-                writer.write("trajectories", output.trajectory_records)
-                writer.write("rssi", output.rssi_records)
-                writer.write_positioning(output.positioning_records)
+                writer.write("trajectories", output.rows.get("trajectory", ()))
+                writer.write("rssi", output.rows.get("rssi", ()))
+                writer.write_positioning(output.rows)
                 if engine is not None:
                     engine.end_shard()
                 objects_done += output.objects

@@ -9,7 +9,11 @@ This module holds the pieces of the one generation path,
   on :mod:`hashlib` so it is stable across processes and runs, unlike the
   builtin ``hash``), and runs the full object -> trajectory -> RSSI ->
   positioning chain independently (:func:`run_shard`).
-* **Bounded flushing** — records stream into the
+* **Rows, built once** — a shard turns each generated record into its
+  stored row (:func:`~repro.storage.repositories.record_row`, a tuple in
+  the dataset's column order) and ships only those rows, grouped by dataset
+  (:attr:`ShardOutput.rows`); no typed record crosses a process boundary.
+* **Bounded flushing** — rows stream into the
   :class:`~repro.storage.repositories.DataWarehouse` through a
   :class:`StreamingWriter` that flushes in batches of ``flush_every``
   records, so peak pending memory is O(flush buffer), not O(dataset).
@@ -20,10 +24,11 @@ This module holds the pieces of the one generation path,
   only on ``(master_seed, shard_count)``, never on ``workers``.
 * **Progress reporting** — long runs report objects/records per second
   through the :class:`GenerationProgress` callback hook.
-* **Layer set-up** — :func:`object_controller`, :func:`build_rssi_config`,
-  :func:`survey_radio_map` and :func:`positioning_dataset` turn configuration
-  into layer objects in one place, for the shard chain and the step-wise
-  :class:`~repro.core.toolkit.Vita` facade alike.
+* **Layer set-up** — :func:`object_controller`, :func:`build_rssi_config`
+  and :func:`survey_radio_map` turn configuration into layer objects in one
+  place, for the shard chain and the step-wise
+  :class:`~repro.core.toolkit.Vita` facade alike (which routes positioning
+  records with the same :func:`~repro.storage.repositories.record_row`).
 """
 
 from __future__ import annotations
@@ -33,19 +38,15 @@ import itertools
 import math
 import random
 import time
-from collections import deque
+from collections import defaultdict, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.building.model import Building
 from repro.core.config import ObjectConfig, RSSIConfig, VitaConfig
 from repro.core.errors import ConfigurationError
-from repro.core.types import (
-    PositioningRecord,
-    ProbabilisticPositioningRecord,
-    TrajectoryRecord,
-)
+from repro.core.types import TrajectoryRecord
 from repro.devices.base import PositioningDevice
 from repro.mobility.behavior import behavior_by_name
 from repro.mobility.controller import MovingObjectController, ObjectGenerationConfig
@@ -59,6 +60,7 @@ from repro.rssi.measurement import RSSIGenerationConfig, RSSIGenerator
 from repro.rssi.noise import FluctuationNoiseModel, ObstacleNoiseModel
 from repro.rssi.pathloss import PathLossModel
 from repro.spatial import SpatialService, diff_stats
+from repro.storage.repositories import record_row
 
 #: Default shard sizing used when the configuration leaves ``shards`` unset.
 DEFAULT_OBJECTS_PER_SHARD = 16
@@ -216,12 +218,14 @@ ProgressCallback = Callable[[GenerationProgress], None]
 # Bounded streaming writes
 # --------------------------------------------------------------------------- #
 class StreamingWriter:
-    """Flushes typed records into a warehouse in bounded batches.
+    """Flushes rows into a warehouse in bounded batches.
 
     The writer buffers at most ``flush_every`` records at any moment (its
     invariant, asserted by the memory-bound regression tests); each flush
     bulk-inserts through the repositories and makes the backend durable, and
-    emits a ``"flush"`` progress event.
+    emits a ``"flush"`` progress event.  It passes what it is given through
+    unchanged: row tuples from the shards (typed records also work, since
+    every repository's ``add_many`` converts them).
     """
 
     def __init__(
@@ -233,7 +237,7 @@ class StreamingWriter:
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         """*record_hook*, when set, receives every flushed batch as
-        ``(repo_name, records)`` before the buffer is released — the tap the
+        ``(repo_name, rows)`` after it is stored — the tap the
         continuous-query engine consumes the stream through, at exactly the
         flush-bounded cadence the memory budget already pays for."""
         if flush_every < 1:
@@ -294,42 +298,51 @@ class StreamingWriter:
     # ------------------------------------------------------------------ #
     # Writes
     # ------------------------------------------------------------------ #
-    def write(self, repo_name: str, records: Iterable) -> int:
-        """Stream *records* into the repository called *repo_name*.
+    def write(self, repo_name: str, rows: Iterable) -> int:
+        """Stream *rows* into the repository called *repo_name*.
 
-        Records are buffered and bulk-inserted every ``flush_every`` records;
+        Rows are buffered and bulk-inserted every ``flush_every`` records;
         within the stream the incoming order is preserved, so a per-object
         ordering invariant (e.g. strictly increasing ``t``) survives every
         flush boundary.
         """
         repo = getattr(self.warehouse, repo_name)
-        buffer: list = []
+        rows = iter(rows)
         written = 0
-        for record in records:
-            buffer.append(record)
-            self._note_pending(1)
-            if self._pending >= self.flush_every:
-                written += self._flush(repo_name, repo, buffer)
-        if buffer:
+        while True:
+            buffer = self._take(rows)
+            if not buffer:
+                return written
             written += self._flush(repo_name, repo, buffer)
-        return written
 
-    def write_positioning(self, records: Iterable) -> int:
-        """Stream a mixed positioning output, routing each record to its repo.
+    def write_positioning(self, rows: Mapping[str, Iterable]) -> int:
+        """Stream a shard's positioning rows, already routed to their datasets.
 
-        The three buffers share the writer's single pending budget: as soon
-        as ``flush_every`` records are pending *in total*, every non-empty
+        *rows* maps dataset names to rows; the datasets of
+        :data:`POSITIONING_DATASETS` are written, in that order.  Their three
+        buffers share the writer's single pending budget: as soon as
+        ``flush_every`` records are pending *in total*, every non-empty
         buffer is flushed, keeping the O(flush buffer) bound.
         """
         buffers: Dict[str, list] = {name: [] for name in POSITIONING_DATASETS}
         written = 0
-        for record in records:
-            buffers[positioning_dataset(record)].append(record)
-            self._note_pending(1)
-            if self._pending >= self.flush_every:
-                written += self._flush_buffers(buffers)
+        for name in POSITIONING_DATASETS:
+            stream = iter(rows.get(name, ()))
+            while True:
+                taken = self._take(stream)
+                if not taken:
+                    break
+                buffers[name].extend(taken)
+                if self._pending >= self.flush_every:
+                    written += self._flush_buffers(buffers)
         written += self._flush_buffers(buffers)
         return written
+
+    def _take(self, rows: Iterator) -> list:
+        """The next rows of *rows*, up to what the pending budget has room for."""
+        taken = list(itertools.islice(rows, max(1, self.flush_every - self._pending)))
+        self._note_pending(len(taken))
+        return taken
 
     def _note_pending(self, count: int) -> None:
         self._pending += count
@@ -452,15 +465,6 @@ def survey_radio_map(
     )
 
 
-def positioning_dataset(record) -> str:
-    """The dataset of :data:`POSITIONING_DATASETS` a positioning record belongs in."""
-    if isinstance(record, PositioningRecord):
-        return "positioning"
-    if isinstance(record, ProbabilisticPositioningRecord):
-        return "probabilistic"
-    return "proximity"
-
-
 # --------------------------------------------------------------------------- #
 # The per-shard generation chain
 # --------------------------------------------------------------------------- #
@@ -492,13 +496,14 @@ class ShardContext:
 
 @dataclass
 class ShardOutput:
-    """The records one shard produced, ready for ordered merging."""
+    """The rows one shard produced, ready for ordered merging."""
 
     shard_id: int
     objects: int
-    trajectory_records: List[TrajectoryRecord]
-    rssi_records: list
-    positioning_records: list
+    #: Dataset name -> the shard's stored rows, each a tuple in the
+    #: dataset's ``DatasetSpec.columns`` order, in generation order.  Only
+    #: datasets the shard produced rows for appear.
+    rows: Dict[str, List[Tuple]]
     timings: Dict[str, float] = field(default_factory=dict)
     #: Spatial-cache hit/miss counters attributable to this shard (a delta,
     #: so serial and parallel runs aggregate identically).
@@ -511,11 +516,15 @@ class ShardOutput:
 
     @property
     def total_records(self) -> int:
-        return (
-            len(self.trajectory_records)
-            + len(self.rssi_records)
-            + len(self.positioning_records)
-        )
+        return sum(map(len, self.rows.values()))
+
+
+def _add_rows(rows: Dict[str, List[Tuple]], records: Sequence) -> int:
+    """Append each typed record's row to its dataset's list; returns the count."""
+    for record in records:
+        dataset, row = record_row(record)
+        rows[dataset].append(row)
+    return len(records)
 
 
 def run_shard(
@@ -527,7 +536,8 @@ def run_shard(
 
     Every random stream is seeded as ``derive_seed(master_seed, shard_id,
     role)``, so the output depends only on the shard spec and the shared
-    context — not on which process or in which order the shard runs.
+    context — not on which process or in which order the shard runs.  The
+    output holds each record's stored row, routed to its dataset here.
     """
     config = context.config
     objects = config.objects
@@ -575,6 +585,15 @@ def run_shard(
             ).generate(simulation.trajectories)
         timings["rssi"] = time.perf_counter() - start
 
+        # Each record becomes its stored row here, once, as soon as no later
+        # layer reads it, and each typed list is released as soon as its rows
+        # exist (positioning reads only the RSSI records): only rows leave
+        # the shard.
+        object_count = simulation.object_count
+        rows: Dict[str, List[Tuple]] = defaultdict(list)
+        trajectory_count = _add_rows(rows, simulation.trajectories.all_records())
+        del simulation, controller  # the controller keeps its last result
+
         start = time.perf_counter()
         positioning = config.positioning
         positioning_controller = PositioningMethodController(
@@ -596,24 +615,25 @@ def run_shard(
             positioning_records = positioning_controller.generate(rssi_records)
         timings["positioning"] = time.perf_counter() - start
 
-        trajectory_records = simulation.trajectories.all_records()
+        rssi_count = _add_rows(rows, rssi_records)
+        del rssi_records
+        positioning_count = _add_rows(rows, positioning_records)
+        del positioning_records
         metrics = telemetry.metrics
         # Counters depend only on what was generated — the determinism
         # guarantee that makes workers=N merge to exactly the serial values.
-        metrics.counter("generated.objects").inc(simulation.object_count)
-        metrics.counter("generated.records.trajectory").inc(len(trajectory_records))
-        metrics.counter("generated.records.rssi").inc(len(rssi_records))
-        metrics.counter("generated.records.positioning").inc(len(positioning_records))
+        metrics.counter("generated.objects").inc(object_count)
+        metrics.counter("generated.records.trajectory").inc(trajectory_count)
+        metrics.counter("generated.records.rssi").inc(rssi_count)
+        metrics.counter("generated.records.positioning").inc(positioning_count)
         metrics.counter("generated.shards").inc()
         for phase, seconds in timings.items():
             metrics.histogram(f"shard.phase_seconds.{phase}").observe(seconds)
 
     return ShardOutput(
         shard_id=shard.shard_id,
-        objects=simulation.object_count,
-        trajectory_records=trajectory_records,
-        rssi_records=rssi_records,
-        positioning_records=positioning_records,
+        objects=object_count,
+        rows=dict(rows),
         timings=timings,
         spatial_stats=diff_stats(spatial.cache_stats(), stats_before),
         metrics=metrics.snapshot(),
@@ -697,7 +717,6 @@ __all__ = [
     "object_controller",
     "build_rssi_config",
     "survey_radio_map",
-    "positioning_dataset",
     "ShardContext",
     "ShardOutput",
     "run_shard",

@@ -34,7 +34,6 @@ from repro.core.streaming import (
     ProgressCallback,
     build_rssi_config,
     object_controller,
-    positioning_dataset,
     survey_radio_map,
 )
 from repro.core.types import DeviceType, PositioningMethod, RSSIRecord
@@ -50,7 +49,7 @@ from repro.spatial import SpatialService
 from repro.storage.backends import StorageBackend, backend_by_name
 from repro.storage.export import export_warehouse
 from repro.storage.query import Query
-from repro.storage.repositories import DataWarehouse
+from repro.storage.repositories import DataWarehouse, record_row
 from repro.storage.stream import DataStreamAPI
 
 
@@ -324,7 +323,8 @@ class Vita:
         for dataset in POSITIONING_DATASETS:
             self.warehouse.backend.clear(dataset)
         for record in self.positioning_output:
-            getattr(self.warehouse, positioning_dataset(record)).add(record)
+            dataset, row = record_row(record)
+            getattr(self.warehouse, dataset).add_many([row])
         self.warehouse.flush()
         return self.positioning_output
 

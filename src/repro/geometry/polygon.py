@@ -98,7 +98,7 @@ class Polygon:
     :attr:`area` is always positive.
     """
 
-    __slots__ = ("_vertices", "_bbox", "_area")
+    __slots__ = ("_vertices", "_bbox", "_area", "_edge_terms")
 
     def __init__(self, vertices: Sequence[Point]) -> None:
         vertices = [
@@ -113,6 +113,12 @@ class Polygon:
         self._vertices: Tuple[Point, ...] = tuple(vertices)
         self._bbox = BoundingBox.of_points(vertices)
         self._area = abs(signed)
+        # Per edge ``(x0, y0, dx, dy, dx*dx + dy*dy)``: what
+        # Segment.closest_point_to derives from the edge on every call.
+        self._edge_terms: Tuple[Tuple[float, float, float, float, float], ...] = tuple(
+            (a.x, a.y, b.x - a.x, b.y - a.y, (b.x - a.x) * (b.x - a.x) + (b.y - a.y) * (b.y - a.y))
+            for a, b in zip(vertices, vertices[1:] + vertices[:1])
+        )
 
     # ------------------------------------------------------------------ #
     # Basic properties
@@ -191,8 +197,26 @@ class Polygon:
         return inside
 
     def on_boundary(self, point: Point, tolerance: float = 1e-7) -> bool:
-        """Whether *point* lies on the polygon boundary."""
-        return any(edge.contains_point(point, tolerance) for edge in self.edges())
+        """Whether *point* lies on the polygon boundary.
+
+        The answer of ``any(edge.contains_point(point, tolerance) for edge in
+        self.edges())``, computed in plain floats from the precomputed edge
+        terms with the same operations in the same order as
+        :meth:`Segment.closest_point_to` and :meth:`Point.distance_to`, so it
+        is bit-identical without building a segment or point per edge.
+        """
+        px, py = point.x, point.y
+        for x0, y0, dx, dy, length_sq in self._edge_terms:
+            if length_sq == 0.0:
+                cx, cy = x0, y0
+            else:
+                t = ((px - x0) * dx + (py - y0) * dy) / length_sq
+                t = t if t < 1.0 else 1.0  # min(1.0, t)
+                t = t if t > 0.0 else 0.0  # max(0.0, t)
+                cx, cy = x0 + dx * t, y0 + dy * t
+            if math.hypot(px - cx, py - cy) <= tolerance:
+                return True
+        return False
 
     def intersects_segment(self, segment: Segment) -> bool:
         """Whether *segment* crosses or touches the polygon boundary or interior."""

@@ -9,9 +9,11 @@ retained after its aggregates absorbed it.
 Three structural ideas keep this both fast and deterministic:
 
 * **Shared window assignment** — monitors are grouped by
-  ``(dataset, window, slide)``; the overlapping-window computation and the
-  row-dict conversion happen once per record per group, shared by every
-  monitor in the group.
+  ``(dataset, window, slide)``; the overlapping-window computation happens
+  once per record per group, shared by every monitor in the group.  The
+  streaming tap (:meth:`LiveEngine.writer_hook`) receives the stored row
+  tuples and makes each a row dict once, only for the datasets some monitor
+  consumes.
 * **Per-shard partials** — window aggregates accumulate in a
   :class:`ShardPartial` (sets, counts, minima — all commutative merges) that
   folds into the global window states *in shard order*, making ``workers=N``
@@ -41,11 +43,13 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.errors import MonitorError
 from repro.live.monitors import Monitor, MonitorPlan
 from repro.obs import MetricsRegistry, Tracer
+from repro.storage.backends.base import dataset_spec
 from repro.storage.plan import Row
 
 #: Shared no-op instrumentation for unobserved engines (module-level so an
@@ -406,8 +410,9 @@ class LiveEngine:
         report = engine.finalize()
 
     ``feed`` accepts typed records (anything with ``as_record()``) or plain
-    row dicts.  Subscribing after the first record has been fed raises — a
-    late subscriber would silently miss windows.
+    row dicts; :meth:`writer_hook` adapts the streaming writer's row tuples.
+    Subscribing after the first record has been fed raises — a late
+    subscriber would silently miss windows.
     """
 
     def __init__(
@@ -539,14 +544,19 @@ class LiveEngine:
     def writer_hook(self) -> Callable[[str, Sequence[Any]], None]:
         """An adapter for :class:`~repro.core.streaming.StreamingWriter`.
 
-        The writer calls it with ``(repo_name, records)`` at every flush, so
+        The writer calls it with ``(repo_name, rows)`` at every flush, so
         monitors consume the stream at exactly the flush-bounded cadence the
-        memory budget already pays for.
+        memory budget already pays for.  Rows are tuples in the dataset's
+        column order; each becomes a row dict as :meth:`feed` reaches it,
+        which it does only for a dataset some monitor consumes.
         """
 
-        def hook(repo_name: str, records: Sequence[Any]) -> None:
+        def hook(repo_name: str, rows: Sequence[Any]) -> None:
             dataset = REPO_DATASETS.get(repo_name, repo_name)
-            self.feed(dataset, records)
+            if rows and type(rows[0]) is tuple:
+                columns = dataset_spec(dataset).columns
+                rows = map(dict, map(zip, repeat(columns), rows))
+            self.feed(dataset, rows)
 
         return hook
 

@@ -12,12 +12,15 @@ can run unchanged on top of any engine:
   on-disk engine with WAL journalling, batched bulk inserts and composite +
   spatial grid-bucket indices (persistent, larger-than-RAM).
 
-Every dataset is described by a :class:`DatasetSpec`; rows are plain
-dictionaries with one key per column, identical across backends, so records
-serialise the same way everywhere.  The base class ships portable Python
-implementations of the higher-level query operators (snapshot, spatial range,
-kNN, aggregations) expressed in terms of the storage primitives; engines
-override them with native (e.g. SQL) implementations where profitable.
+Every dataset is described by a :class:`DatasetSpec`; rows read back are
+plain dictionaries with one key per column, identical across backends, so
+records serialise the same way everywhere.  Rows written may also be tuples
+in ``DatasetSpec.columns`` order, the shape the generation write path
+produces once per record (:func:`~repro.storage.repositories.record_row`).
+The base class ships portable Python implementations of the higher-level
+query operators (snapshot, spatial range, kNN, aggregations) expressed in
+terms of the storage primitives; engines override them with native (e.g.
+SQL) implementations where profitable.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.errors import StorageError
 from repro.storage.plan import PlanExecution, QueryPlan, sorted_distinct
@@ -42,6 +45,34 @@ REAL_COLUMNS = frozenset(
 INT_COLUMNS = frozenset({"floor_id", "cell_x", "cell_y"})
 
 
+def _real(value: Any) -> Any:
+    return None if value is None else float(value)
+
+
+def _integer(value: Any) -> Any:
+    return None if value is None else int(value)
+
+
+def _text(value: Any) -> Any:
+    # Text affinity, mirroring SQLite: a non-string operand is compared (and
+    # stored) as its text form, so both engines see the same value.
+    return value if value is None or isinstance(value, str) else str(value)
+
+
+def column_coercer(column: str) -> Callable[[Any], Any]:
+    """The function :func:`coerce_value` applies to *column*'s values.
+
+    It raises ``TypeError``/``ValueError`` for a value the column's type
+    cannot represent.  An engine that coerces many rows looks these up once
+    per column and lets :func:`coerce_value` word the error.
+    """
+    if column in REAL_COLUMNS:
+        return _real
+    if column in INT_COLUMNS:
+        return _integer
+    return _text
+
+
 def coerce_value(column: str, value: Any) -> Any:
     """Normalise *value* to *column*'s type affinity (numpy scalars included).
 
@@ -50,19 +81,11 @@ def coerce_value(column: str, value: Any) -> Any:
     same way on every engine instead of crashing one and no-matching the
     other.
     """
-    if value is None:
-        return None
     try:
-        if column in REAL_COLUMNS:
-            return float(value)
-        if column in INT_COLUMNS:
-            return int(value)
+        return column_coercer(column)(value)
     except (TypeError, ValueError):
         kind = "real" if column in REAL_COLUMNS else "integer"
         raise StorageError(f"value {value!r} is not valid for {kind} column {column!r}")
-    # Text affinity, mirroring SQLite: a non-string operand is compared (and
-    # stored) as its text form, so both engines see the same value.
-    return value if isinstance(value, str) else str(value)
 
 
 @dataclass(frozen=True)
@@ -180,8 +203,12 @@ class StorageBackend(abc.ABC):
     # Storage primitives
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
-    def insert_rows(self, dataset: str, rows: List[Row]) -> int:
-        """Bulk-append *rows*; returns the number inserted."""
+    def insert_rows(self, dataset: str, rows: List[Union[Row, Tuple]]) -> int:
+        """Bulk-append *rows*; returns the number inserted.
+
+        Each row is a tuple in ``DatasetSpec.columns`` order or a dict; a
+        tuple and the dict with the same values store the same row.
+        """
 
     @abc.abstractmethod
     def count(self, dataset: str) -> int:
@@ -370,6 +397,7 @@ __all__ = [
     "LOCATION_COLUMNS",
     "REAL_COLUMNS",
     "INT_COLUMNS",
+    "column_coercer",
     "coerce_value",
     "DatasetSpec",
     "DATASETS",

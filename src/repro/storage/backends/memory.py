@@ -10,7 +10,7 @@ no configuration and is fastest for small and medium runs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.errors import StorageError
 from repro.storage.backends.base import DATASETS, Row, StorageBackend, dataset_spec
@@ -53,7 +53,7 @@ class MemoryBackend(StorageBackend):
     # ------------------------------------------------------------------ #
     # Storage primitives
     # ------------------------------------------------------------------ #
-    def insert_rows(self, dataset: str, rows: List[Row]) -> int:
+    def insert_rows(self, dataset: str, rows: List[Union[Row, Tuple]]) -> int:
         inserted = self.table_handle(dataset).insert_many(rows)
         self._observe_insert(dataset, inserted)
         return inserted

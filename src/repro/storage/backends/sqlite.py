@@ -14,8 +14,10 @@ Engine configuration (mirroring the exemplar schema in SNIPPETS.md):
   much faster than ``FULL`` for bulk generation;
 * ``busy_timeout=30000`` ms and ``temp_store=MEMORY``.
 
-Writes are buffered and flushed with ``executemany`` in batches (read-your-
-writes is preserved: every read first drains the affected buffer).  Each
+Writes are coerced column by column (each column's coercion looked up once
+per dataset, and skipped for a column whose values already have its type),
+buffered, and flushed with ``executemany`` in batches (read-your-writes is
+preserved: every read first drains the affected buffer).  Each
 dataset has a composite index on ``(object_id, <time>)`` for per-object
 scans, a time index for range scans, and — for the datasets that embed a
 coordinate — a spatial grid-bucket index on ``(floor_id, cell_x, cell_y)``
@@ -26,8 +28,10 @@ prefilter on integer buckets before the exact geometric predicate runs.
 from __future__ import annotations
 
 import sqlite3
+from itertools import repeat
+from operator import floordiv
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import StorageError
 from repro.storage.backends.base import (
@@ -37,6 +41,7 @@ from repro.storage.backends.base import (
     Row,
     StorageBackend,
     coerce_value as _coerce,
+    column_coercer,
     dataset_spec,
 )
 from repro.storage.plan import Filter, PlanExecution, QueryPlan
@@ -49,6 +54,10 @@ _PRAGMAS = (
     ("temp_store", "MEMORY"),
     ("cache_size", "-16000"),
 )
+
+
+#: Column type -> the Python type its coercion produces.
+_NATIVE = {"REAL": float, "INTEGER": int, "TEXT": str}
 
 
 def _column_type(column: str) -> str:
@@ -87,6 +96,15 @@ class SQLiteBackend(StorageBackend):
             self._connection = sqlite3.connect(self.path)
             self._connection.row_factory = sqlite3.Row
             self._pending: Dict[str, List[Tuple]] = {name: [] for name in DATASETS}
+            #: Per dataset, in column order: each column's coercion, and the
+            #: value types that need none.
+            self._coercers = {
+                spec.name: tuple(
+                    (column_coercer(column), {_NATIVE[_column_type(column)], type(None)})
+                    for column in spec.columns
+                )
+                for spec in DATASETS.values()
+            }
             self._closed = False
             self._configure()
             self._create_schema()
@@ -205,28 +223,63 @@ class SQLiteBackend(StorageBackend):
     # ------------------------------------------------------------------ #
     # Write path (buffered executemany batches)
     # ------------------------------------------------------------------ #
-    def _row_tuple(self, dataset: str, row: Row) -> Tuple:
-        spec = dataset_spec(dataset)
-        values = [_coerce(column, row.get(column)) for column in spec.columns]
-        if spec.spatial:
-            x, y = row.get("x"), row.get("y")
-            if x is None or y is None:
-                values.extend([None, None])
-            else:
-                values.append(int(float(x) // self.cell_size))
-                values.append(int(float(y) // self.cell_size))
-        return tuple(values)
+    def insert_rows(self, dataset: str, rows: List[Union[Row, Tuple]]) -> int:
+        """Coerce *rows* column by column and queue them for the next drain.
 
-    def insert_rows(self, dataset: str, rows: List[Row]) -> int:
-        pending = self._pending[dataset_spec(dataset).name]
-        count = 0
-        for row in rows:
-            pending.append(self._row_tuple(dataset, row))
-            count += 1
+        Each row is a tuple in column order or a dict (a missing key stores
+        NULL).  The whole call is coerced before any row is queued, so a bad
+        value raises :class:`StorageError` and queues nothing.
+        """
+        spec = dataset_spec(dataset)
+        columns = spec.columns
+        batch = [row if type(row) is tuple else tuple(map(row.get, columns)) for row in rows]
+        if not batch:
+            return 0
+        widths = set(map(len, batch))
+        if widths != {len(columns)}:
+            raise StorageError(
+                f"dataset {dataset!r}: a row tuple needs {len(columns)} values "
+                f"({', '.join(columns)}), got {sorted(widths - {len(columns)})}"
+            )
+        # By position: a column whose values all have its type already (the
+        # generation path's rows) stays as it is; any other is coerced whole.
+        values = list(zip(*batch))
+        for position, (coerce, native) in enumerate(self._coercers[spec.name]):
+            if not set(map(type, values[position])) <= native:
+                try:
+                    values[position] = list(map(coerce, values[position]))
+                except (TypeError, ValueError):
+                    for value in values[position]:
+                        _coerce(columns[position], value)  # raises, naming the column
+                    raise
+        if spec.spatial:
+            values.extend(self._grid_cells(values[columns.index("x")], values[columns.index("y")]))
+        queued = list(zip(*values))
+        pending = self._pending[spec.name]
+        start = 0
+        while start < len(queued):
+            room = self.batch_size - len(pending)
+            pending.extend(queued[start:start + room])
+            start += room
             if len(pending) >= self.batch_size:
                 self._drain(dataset)
-        self._observe_insert(dataset, count)
-        return count
+        self._observe_insert(dataset, len(queued))
+        return len(queued)
+
+    def _grid_cells(self, xs: Sequence[Any], ys: Sequence[Any]) -> Tuple[Sequence, Sequence]:
+        """The ``cell_x``/``cell_y`` columns of coerced coordinate columns
+        (both NULL where either coordinate is)."""
+        size = self.cell_size
+        if None in xs or None in ys:
+            cells = [
+                (None, None) if x is None or y is None else (int(x // size), int(y // size))
+                for x, y in zip(xs, ys)
+            ]
+            return tuple(zip(*cells))
+        return (
+            list(map(int, map(floordiv, xs, repeat(size)))),
+            list(map(int, map(floordiv, ys, repeat(size)))),
+        )
 
     def _drain(self, dataset: str) -> None:
         pending = self._pending[dataset]

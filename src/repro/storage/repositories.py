@@ -15,12 +15,20 @@ typed record dataclasses of :mod:`repro.core.types` and plain rows.  The
 same repository code runs on the in-memory engine and on SQLite; a
 :class:`DataWarehouse` bundles all repositories of one generation run over
 one shared backend.
+
+The write path has one row shape: a tuple in the dataset's
+:attr:`~repro.storage.backends.base.DatasetSpec.columns` order, made from a
+typed record by :func:`record_row`.  The generation chain calls it once per
+record inside the shard, so only row tuples cross the process boundary and
+reach the engines and the live tap; every ``add_many`` accepts those tuples
+as they are and converts typed records with the same function.  Reads go the
+other way, through :data:`ROW_CONVERTERS`.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.errors import StorageError
 from repro.core.types import (
@@ -117,6 +125,70 @@ ROW_CONVERTERS = {
 }
 
 
+def _trajectory_row(record: TrajectoryRecord) -> Tuple:
+    location = record.location
+    return (record.object_id, record.t, location.building_id, location.floor_id,
+            location.partition_id, location.x, location.y)
+
+
+def _rssi_row(record: RSSIRecord) -> Tuple:
+    return (record.object_id, record.device_id, record.rssi, record.t)
+
+
+def _positioning_row(record: PositioningRecord) -> Tuple:
+    location = record.location
+    return (record.object_id, record.t, record.method.value, location.building_id,
+            location.floor_id, location.partition_id, location.x, location.y)
+
+
+def _probabilistic_row(record: ProbabilisticPositioningRecord) -> Tuple:
+    # The candidate set is one JSON document, so the row stays flat.
+    candidates = [
+        {"location": location.as_record(), "prob": prob}
+        for location, prob in record.candidates
+    ]
+    return (record.object_id, record.t, json.dumps(candidates))
+
+
+def _proximity_row(record: ProximityRecord) -> Tuple:
+    return (record.object_id, record.device_id, record.t_start, record.t_end)
+
+
+def _device_row(record: DeviceRecord) -> Tuple:
+    location = record.location
+    return (record.device_id, record.device_type.value, record.detection_range,
+            record.detection_interval, location.building_id, location.floor_id,
+            location.partition_id, location.x, location.y)
+
+
+#: Typed record class -> (its dataset, its row builder).
+_ROW_BUILDERS: Dict[type, Tuple[str, Callable[[Any], Tuple]]] = {
+    TrajectoryRecord: ("trajectory", _trajectory_row),
+    RSSIRecord: ("rssi", _rssi_row),
+    PositioningRecord: ("positioning", _positioning_row),
+    ProbabilisticPositioningRecord: ("probabilistic", _probabilistic_row),
+    ProximityRecord: ("proximity", _proximity_row),
+    DeviceRecord: ("device", _device_row),
+}
+
+
+def record_row(record: Any) -> Tuple[str, Tuple]:
+    """The dataset a typed record is stored in, and its stored row.
+
+    The row is a tuple in that dataset's ``DatasetSpec.columns`` order,
+    holding the values ``record.as_record()`` holds (a probabilistic record's
+    candidates as one JSON document).  This is the write path's only
+    conversion from a typed record: the shard chain calls it once per record,
+    and every repository's ``add_many`` calls it for the typed records it is
+    given.
+    """
+    try:
+        dataset, build = _ROW_BUILDERS[type(record)]
+    except KeyError:
+        raise StorageError(f"cannot store a {type(record).__name__}: not a typed record")
+    return dataset, build(record)
+
+
 class _Repository:
     """Shared plumbing: one dataset of one backend."""
 
@@ -139,8 +211,18 @@ class _Repository:
             )
         return handle(self.dataset)
 
-    def _insert(self, rows: List[Dict]) -> int:
+    def _insert(self, records: Iterable[Any]) -> int:
+        """Store row tuples as they are, and typed records as their rows."""
+        rows = [record if type(record) is tuple else self._row(record) for record in records]
         return self.backend.insert_rows(self.dataset, rows)
+
+    def _row(self, record: Any) -> Tuple:
+        dataset, row = record_row(record)
+        if dataset != self.dataset:
+            raise StorageError(
+                f"a {type(record).__name__} is stored in {dataset!r}, not {self.dataset!r}"
+            )
+        return row
 
 
 class TrajectoryRepository(_Repository):
@@ -149,10 +231,11 @@ class TrajectoryRepository(_Repository):
     dataset = "trajectory"
 
     def add(self, record: TrajectoryRecord) -> None:
-        self._insert([record.as_record()])
+        self._insert([record])
 
-    def add_many(self, records: Iterable[TrajectoryRecord]) -> int:
-        return self._insert([record.as_record() for record in records])
+    def add_many(self, records: Iterable[Union[TrajectoryRecord, Tuple]]) -> int:
+        """Store typed records or row tuples; returns the number stored."""
+        return self._insert(records)
 
     def add_trajectory_set(self, trajectories: TrajectorySet) -> int:
         """Store every sample of a :class:`TrajectorySet`."""
@@ -192,10 +275,11 @@ class RSSIRepository(_Repository):
     dataset = "rssi"
 
     def add(self, record: RSSIRecord) -> None:
-        self._insert([record.as_record()])
+        self._insert([record])
 
-    def add_many(self, records: Iterable[RSSIRecord]) -> int:
-        return self._insert([record.as_record() for record in records])
+    def add_many(self, records: Iterable[Union[RSSIRecord, Tuple]]) -> int:
+        """Store typed records or row tuples; returns the number stored."""
+        return self._insert(records)
 
     def records_of_object(self, object_id: ObjectId) -> List[RSSIRecord]:
         rows = self.backend.rows_eq(self.dataset, "object_id", object_id, order_by="t")
@@ -219,10 +303,11 @@ class PositioningRepository(_Repository):
     dataset = "positioning"
 
     def add(self, record: PositioningRecord) -> None:
-        self._insert([record.as_record()])
+        self._insert([record])
 
-    def add_many(self, records: Iterable[PositioningRecord]) -> int:
-        return self._insert([record.as_record() for record in records])
+    def add_many(self, records: Iterable[Union[PositioningRecord, Tuple]]) -> int:
+        """Store typed records or row tuples; returns the number stored."""
+        return self._insert(records)
 
     def records_of(self, object_id: ObjectId) -> List[PositioningRecord]:
         rows = self.backend.rows_eq(self.dataset, "object_id", object_id, order_by="t")
@@ -251,20 +336,12 @@ class ProbabilisticPositioningRepository(_Repository):
 
     dataset = "probabilistic"
 
-    @staticmethod
-    def _to_row(record: ProbabilisticPositioningRecord) -> Dict:
-        payload = record.as_record()
-        return {
-            "object_id": payload["object_id"],
-            "t": payload["t"],
-            "candidates": json.dumps(payload["candidates"]),
-        }
-
     def add(self, record: ProbabilisticPositioningRecord) -> None:
-        self._insert([self._to_row(record)])
+        self._insert([record])
 
-    def add_many(self, records: Sequence[ProbabilisticPositioningRecord]) -> int:
-        return self._insert([self._to_row(record) for record in records])
+    def add_many(self, records: Iterable[Union[ProbabilisticPositioningRecord, Tuple]]) -> int:
+        """Store typed records or row tuples; returns the number stored."""
+        return self._insert(records)
 
     def records_of(self, object_id: ObjectId) -> List[ProbabilisticPositioningRecord]:
         rows = self.backend.rows_eq(self.dataset, "object_id", object_id, order_by="t")
@@ -295,10 +372,11 @@ class ProximityRepository(_Repository):
     dataset = "proximity"
 
     def add(self, record: ProximityRecord) -> None:
-        self._insert([record.as_record()])
+        self._insert([record])
 
-    def add_many(self, records: Iterable[ProximityRecord]) -> int:
-        return self._insert([record.as_record() for record in records])
+    def add_many(self, records: Iterable[Union[ProximityRecord, Tuple]]) -> int:
+        """Store typed records or row tuples; returns the number stored."""
+        return self._insert(records)
 
     def records_of(self, object_id: ObjectId) -> List[ProximityRecord]:
         rows = self.backend.rows_eq(self.dataset, "object_id", object_id, order_by="t_start")
@@ -324,10 +402,11 @@ class DeviceRepository(_Repository):
     dataset = "device"
 
     def add(self, record: DeviceRecord) -> None:
-        self._insert([record.as_record()])
+        self._insert([record])
 
-    def add_many(self, records: Iterable[DeviceRecord]) -> int:
-        return self._insert([record.as_record() for record in records])
+    def add_many(self, records: Iterable[Union[DeviceRecord, Tuple]]) -> int:
+        """Store typed records or row tuples; returns the number stored."""
+        return self._insert(records)
 
     def by_type(self, device_type: DeviceType) -> List[DeviceRecord]:
         rows = self.backend.rows_eq(self.dataset, "device_type", device_type.value)
@@ -427,6 +506,7 @@ class DataWarehouse:
 
 __all__ = [
     "ROW_CONVERTERS",
+    "record_row",
     "row_to_trajectory_record",
     "row_to_rssi_record",
     "row_to_positioning_record",

@@ -4,13 +4,20 @@ The paper stores generated data in PostgreSQL with "efficient indices"
 (Section 4.2).  This module provides an offline substitute: a typed table
 whose rows are dictionaries, with optional hash indexes on equality-queried
 columns and a sorted index on the timestamp column for range scans.
+
+Rows arrive as tuples in column order (the write path's row shape) or as
+dictionaries.  :meth:`Table.insert_many` checks a whole batch first and then
+updates each index in one pass over it, computing every key once and sharing
+one row-id ``int`` per row across all indexes.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.errors import StorageError
 
@@ -62,20 +69,28 @@ class Table:
         self._ordered_dirty = False
         #: Existing unique-key tuples (only populated when the schema has one).
         self._unique: set = set()
+        position = {column: index for index, column in enumerate(schema.columns)}
+        self._getters = {column: itemgetter(position[column]) for column in schema.columns}
+        #: Row tuple -> its unique-key tuple (``itemgetter`` of one position
+        #: returns the bare value, so a one-column key is wrapped).
+        key = [position[column] for column in schema.unique_key]
+        self._key_of: Callable[[Tuple], Tuple] = (
+            itemgetter(*key) if len(key) > 1 else lambda values: tuple(values[i] for i in key)
+        )
 
     # ------------------------------------------------------------------ #
     # Mutation
     # ------------------------------------------------------------------ #
-    def _stored_row(self, row: Row) -> Row:
+    def _values(self, row: Union[Row, Tuple]) -> Tuple:
+        """*row* as a tuple in column order."""
+        if type(row) is tuple:
+            return row
         missing = [c for c in self.schema.columns if c not in row]
         if missing:
             raise StorageError(
                 f"table {self.schema.name}: row is missing columns {missing}"
             )
-        return {column: row[column] for column in self.schema.columns}
-
-    def _key_of(self, stored: Row) -> Tuple:
-        return tuple(stored[column] for column in self.schema.unique_key)
+        return tuple(row[column] for column in self.schema.columns)
 
     def _duplicate_error(self, key: Tuple) -> StorageError:
         described = dict(zip(self.schema.unique_key, key))
@@ -83,45 +98,56 @@ class Table:
             f"table {self.schema.name}: duplicate row for unique key {described}"
         )
 
-    def _insert_stored(self, stored: Row) -> int:
-        row_id = len(self._rows)
-        self._rows.append(stored)
-        for column in self.schema.hash_indexes:
-            self._hash[column].setdefault(stored[column], []).append(row_id)
-        if self.schema.ordered_index is not None:
-            self._ordered.append((stored[self.schema.ordered_index], row_id))
-            self._ordered_dirty = True
-        if self.schema.unique_key:
-            self._unique.add(self._key_of(stored))
-        return row_id
+    def insert(self, row: Union[Row, Tuple]) -> int:
+        """Insert one row (a dict, or a tuple in column order); returns its row id."""
+        self.insert_many([row])
+        return len(self._rows) - 1
 
-    def insert(self, row: Row) -> int:
-        """Insert one row; returns its row id."""
-        stored = self._stored_row(row)
-        if self.schema.unique_key:
-            key = self._key_of(stored)
-            if key in self._unique:
-                raise self._duplicate_error(key)
-        return self._insert_stored(stored)
-
-    def insert_many(self, rows: Iterable[Row]) -> int:
+    def insert_many(self, rows: Iterable[Union[Row, Tuple]]) -> int:
         """Insert many rows; returns the number inserted.
 
-        The batch is atomic with respect to the unique key: every row is
-        validated (against the table *and* the rest of the batch) before any
-        row is inserted, so a duplicate leaves the table unchanged.
+        Each row is a tuple in column order or a dict.  The batch is atomic:
+        every row is validated (its width, and its unique key against the
+        table *and* the rest of the batch) before any row is inserted, so a
+        bad row leaves the table unchanged.
         """
-        stored_rows = [self._stored_row(row) for row in rows]
-        if self.schema.unique_key:
-            batch_keys: set = set()
-            for stored in stored_rows:
-                key = self._key_of(stored)
-                if key in self._unique or key in batch_keys:
-                    raise self._duplicate_error(key)
-                batch_keys.add(key)
-        for stored in stored_rows:
-            self._insert_stored(stored)
-        return len(stored_rows)
+        schema = self.schema
+        columns = schema.columns
+        batch = [self._values(row) for row in rows]
+        if not batch:
+            return 0
+        widths = set(map(len, batch))
+        if widths != {len(columns)}:
+            raise StorageError(
+                f"table {schema.name}: a row tuple needs {len(columns)} values "
+                f"({', '.join(columns)}), got {sorted(widths - {len(columns)})}"
+            )
+        keys: List[Tuple] = []
+        if schema.unique_key:
+            keys = list(map(self._key_of, batch))
+            fresh = set(keys)
+            if len(fresh) != len(keys) or not self._unique.isdisjoint(fresh):
+                seen: set = set()
+                for key in keys:
+                    if key in self._unique or key in seen:
+                        raise self._duplicate_error(key)
+                    seen.add(key)
+
+        first = len(self._rows)
+        row_ids = list(range(first, first + len(batch)))
+        self._rows.extend(map(dict, map(zip, repeat(columns), batch)))
+        for column in schema.hash_indexes:
+            index = self._hash[column]
+            for row_id, value in zip(row_ids, map(self._getters[column], batch)):
+                ids = index.get(value)
+                if ids is None:
+                    ids = index[value] = []
+                ids.append(row_id)
+        if schema.ordered_index is not None:
+            self._ordered.extend(zip(map(self._getters[schema.ordered_index], batch), row_ids))
+            self._ordered_dirty = True
+        self._unique.update(keys)
+        return len(batch)
 
     def clear(self) -> None:
         """Remove every row (indexes included)."""

@@ -1,6 +1,9 @@
 """Unit tests for the streaming, sharded generation pipeline."""
 
 import json
+import pickle
+import pickletools
+from collections import Counter
 
 import pytest
 
@@ -19,7 +22,19 @@ from repro.core.errors import ConfigurationError
 from repro.core.pipeline import VitaPipeline
 from repro.core.streaming import StreamingWriter, run_shard, ShardContext, plan_shards
 from repro.core.toolkit import Vita
-from repro.core.types import IndoorLocation, TrajectoryRecord
+from repro.core import streaming
+from repro.core.types import (
+    DeviceRecord,
+    IndoorLocation,
+    PositioningRecord,
+    ProbabilisticPositioningRecord,
+    ProximityRecord,
+    RSSIRecord,
+    TrajectoryRecord,
+)
+from repro.live import Monitor
+from repro.storage import repositories
+from repro.storage.backends.base import DATASETS
 from repro.storage.repositories import DataWarehouse
 
 
@@ -180,20 +195,67 @@ class TestRunStreaming:
 # --------------------------------------------------------------------------- #
 # The per-shard chain
 # --------------------------------------------------------------------------- #
+def _shard_context(config):
+    pipeline = VitaPipeline(config)
+    building = pipeline.build_environment()
+    devices = list(pipeline.deploy_devices(building).devices.values())
+    return ShardContext(config=config, building=building, devices=devices, master_seed=11)
+
+
 class TestRunShard:
     def test_shards_number_objects_globally(self):
         config = small_config()
-        pipeline = VitaPipeline(config)
-        building = pipeline.build_environment()
-        devices = list(pipeline.deploy_devices(building).devices.values())
-        context = ShardContext(config=config, building=building, devices=devices, master_seed=11)
+        context = _shard_context(config)
         plan = plan_shards(config.objects.count, 3, 11)
         seen = []
         for shard in plan:
             output = run_shard(context, shard)
-            ids = sorted({record.object_id for record in output.trajectory_records})
+            ids = sorted({row[0] for row in output.rows["trajectory"]})
             seen.extend(ids)
         assert seen == [f"obj_{i:04d}" for i in range(1, config.objects.count + 1)]
+
+    def test_shard_output_pickles_without_typed_records(self):
+        config = small_config()
+        output = run_shard(_shard_context(config), plan_shards(config.objects.count, 3, 11)[0])
+        assert {"trajectory", "rssi", "positioning"} <= set(output.rows)
+        for dataset, rows in output.rows.items():
+            assert rows and all(
+                type(row) is tuple and len(row) == len(DATASETS[dataset].columns)
+                for row in rows
+            )
+        payload = pickle.dumps(output)
+        # Every name the unpickler resolves (protocol 4+ pushes a global's
+        # module and name as the two strings before STACK_GLOBAL).
+        strings = [arg for _, arg, _ in pickletools.genops(payload) if isinstance(arg, str)]
+        assert not [name for name in strings if name.startswith("repro.core.types")]
+        assert b"repro.core.types" not in payload
+        assert pickle.loads(payload).total_records == output.total_records
+
+
+class TestHandOff:
+    def test_each_stored_record_is_converted_at_most_once(self, monkeypatch):
+        # Every conversion of a typed record into a row: ``as_record`` on any
+        # typed record class, and ``record_row`` wherever it is looked up.
+        converted = []  # the records themselves, so their ids stay unique
+
+        def counting(original):
+            def convert(record, *args, **kwargs):
+                converted.append(record)
+                return original(record, *args, **kwargs)
+            return convert
+
+        for cls in (TrajectoryRecord, RSSIRecord, PositioningRecord,
+                    ProbabilisticPositioningRecord, ProximityRecord, DeviceRecord):
+            monkeypatch.setattr(cls, "as_record", counting(cls.as_record))
+        for module in (streaming, repositories):
+            if hasattr(module, "record_row"):
+                monkeypatch.setattr(module, "record_row", counting(module.record_row))
+        monitors = [Monitor.density(floor=0).window(20).slide(10).named("density")]
+        result = VitaPipeline(small_config()).run_streaming(workers=1, monitors=monitors)
+        assert result.live.results["density"].records_matched > 0
+        conversions = Counter(map(id, converted))
+        assert max(conversions.values()) == 1
+        assert len(conversions) == result.report.total_records
 
 
 # --------------------------------------------------------------------------- #

@@ -2,11 +2,12 @@
 
 import math
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from repro.core.errors import GeometryError
 from repro.geometry.decompose import DecompositionConfig, decompose, total_area
 from repro.geometry.point import Point
-from repro.geometry.polygon import BoundingBox, Polygon
+from repro.geometry.polygon import Polygon
 from repro.geometry.segment import Segment
 
 finite = st.floats(min_value=-1000, max_value=1000, allow_nan=False, allow_infinity=False)
@@ -25,6 +26,43 @@ def rectangles(draw):
 @st.composite
 def points(draw):
     return Point(draw(finite), draw(finite))
+
+
+@st.composite
+def polygons(draw):
+    """Random (not necessarily simple) polygons, some with a repeated vertex."""
+    vertices = draw(st.lists(points(), min_size=3, max_size=8))
+    if draw(st.booleans()):
+        at = draw(st.integers(min_value=0, max_value=len(vertices) - 1))
+        vertices.insert(at, vertices[at])  # a zero-length edge
+    try:
+        return Polygon(vertices)
+    except GeometryError:
+        assume(False)
+
+
+@st.composite
+def boundary_queries(draw):
+    """A polygon, a query point near or far from its boundary, a tolerance."""
+    polygon = draw(polygons())
+    edge = draw(st.sampled_from(polygon.edges()))
+    tolerance = draw(st.sampled_from([1e-7, 1e-3, 0.5]))
+    kind = draw(st.sampled_from(["on_edge", "vertex", "near_edge", "random"]))
+    fraction = draw(st.floats(min_value=0.0, max_value=1.0))
+    if kind == "on_edge":
+        query = edge.point_at(fraction)
+    elif kind == "vertex":
+        query = edge.start
+    elif kind == "near_edge":
+        base = edge.point_at(fraction)
+        dx, dy = edge.end.x - edge.start.x, edge.end.y - edge.start.y
+        length = math.hypot(dx, dy)
+        nx, ny = (-dy / length, dx / length) if length > 0.0 else (1.0, 0.0)
+        offset = draw(st.floats(min_value=-2 * tolerance, max_value=2 * tolerance))
+        query = Point(base.x + nx * offset, base.y + ny * offset)
+    else:
+        query = draw(points())
+    return polygon, query, tolerance
 
 
 class TestPointProperties:
@@ -73,6 +111,16 @@ class TestPolygonProperties:
     @given(rectangles(), finite, finite)
     def test_translation_preserves_area(self, rectangle, dx, dy):
         assert math.isclose(rectangle.translated(dx, dy).area, rectangle.area, rel_tol=1e-9)
+
+    @settings(max_examples=300)
+    @given(boundary_queries())
+    @example((Polygon([(0, 0), (0, 0), (4, 0), (0, 3)]), Point(0.0, 0.0), 1e-7))
+    @example((Polygon([(0, 0), (0, 0), (4, 0), (0, 3)]), Point(-1e-7, 0.0), 1e-7))
+    @example((Polygon([(0, 0), (4, 0), (0, 3)]), Point(2.0, 1.5), 1e-7))
+    def test_on_boundary_equals_the_segment_reference(self, case):
+        polygon, query, tolerance = case
+        expected = any(edge.contains_point(query, tolerance) for edge in polygon.edges())
+        assert polygon.on_boundary(query, tolerance) == expected
 
 
 class TestDecompositionProperties:

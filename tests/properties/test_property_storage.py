@@ -1,14 +1,18 @@
 """Property-based tests for storage: index consistency and export round-trips."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.errors import StorageError
 from repro.core.types import IndoorLocation, RSSIRecord, TrajectoryRecord
+from repro.storage.backends.base import DATASETS
 from repro.storage.export import (
     export_rssi_csv,
     export_trajectories_csv,
     import_rssi_csv,
     import_trajectories_csv,
 )
+from repro.storage.repositories import record_row
 from repro.storage.tables import Table, TableSchema
 
 object_ids = st.sampled_from(["a", "b", "c", "d"])
@@ -76,6 +80,115 @@ class TestTableProperties:
         by_scan = [row for row in table.all_rows() if low <= row["t"] <= high]
         assert len(by_index) == len(by_scan)
         assert sorted(r["t"] for r in by_index) == sorted(r["t"] for r in by_scan)
+
+
+def _trajectory_table() -> Table:
+    spec = DATASETS["trajectory"]
+    return Table(
+        TableSchema(
+            name=spec.name,
+            columns=spec.columns,
+            hash_indexes=spec.hash_indexes,
+            ordered_index=spec.time_column,
+            unique_key=spec.unique_key,
+        )
+    )
+
+
+#: Hash-indexed columns, and one without an index.
+_COLUMNS = ("object_id", "partition_id", "floor_id", "building_id")
+
+
+def _table_state(table: Table, low: float, high: float) -> dict:
+    """Everything the table answers: rows, every index lookup, range, counts."""
+    rows = table.all_rows()
+    return {
+        "rows": rows,
+        "lookups": {
+            (column, value): table.lookup(column, value)
+            for column in _COLUMNS
+            for value in {row[column] for row in rows}
+        },
+        "range": table.range(low, high),
+        "ordered": list(table.iter_ordered()),
+        "counts": {column: table.count_by(column) for column in _COLUMNS},
+    }
+
+
+def _scanned_state(rows: list, low: float, high: float) -> dict:
+    """What :func:`_table_state` must read, computed by full scans of *rows*."""
+    in_time_order = [row for _, row in sorted(enumerate(rows), key=lambda p: (p[1]["t"], p[0]))]
+    counts = {column: {} for column in _COLUMNS}
+    for row in rows:
+        for column in _COLUMNS:
+            counts[column][row[column]] = counts[column].get(row[column], 0) + 1
+    return {
+        "rows": rows,
+        "lookups": {
+            (column, value): [row for row in rows if row[column] == value]
+            for column in _COLUMNS
+            for value in {row[column] for row in rows}
+        },
+        "range": [row for row in in_time_order if low <= row["t"] <= high],
+        "ordered": in_time_order,
+        "counts": counts,
+    }
+
+
+@st.composite
+def row_batches(draw):
+    """Trajectory row tuples with distinct unique keys, cut into batches."""
+    rows = {}
+    for record in draw(st.lists(trajectory_records(), max_size=40)):
+        _, row = record_row(record)
+        rows.setdefault((row[0], row[1]), row)
+    rows = list(rows.values())
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=4)))
+    bounds = [0, *cuts, len(rows)]
+    return [rows[start:end] for start, end in zip(bounds, bounds[1:])]
+
+
+class TestBatchInsertProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(row_batches(), timestamps, timestamps)
+    def test_batches_equal_rows_inserted_one_at_a_time(self, batches, bound_a, bound_b):
+        low, high = sorted((bound_a, bound_b))
+        batched, single = _trajectory_table(), _trajectory_table()
+        for batch in batches:
+            assert batched.insert_many(batch) == len(batch)
+            for row in batch:
+                single.insert(row)
+        state = _table_state(batched, low, high)
+        assert state == _table_state(single, low, high)
+        columns = DATASETS["trajectory"].columns
+        rows = [dict(zip(columns, row)) for batch in batches for row in batch]
+        assert state == _scanned_state(rows, low, high)
+
+    @settings(max_examples=60, deadline=None)
+    @given(row_batches(), st.data())
+    def test_a_duplicate_key_rejects_the_whole_batch(self, batches, data):
+        rows = [row for batch in batches for row in batch]
+        if not rows:
+            return
+        table = _trajectory_table()
+        stored = data.draw(st.integers(0, len(rows) - 1))
+        table.insert_many(rows[:stored])
+        fresh = rows[stored:]
+        # The duplicate repeats the key of a stored row or of an earlier row
+        # of the same batch, with other values.
+        source = data.draw(st.integers(0, len(rows) - 1))
+        object_id, t = rows[source][:2]
+        duplicate = (object_id, t, "other", 9, "elsewhere", -1.0, -1.0)
+        earliest = 0 if source < stored else source - stored + 1
+        batch = list(fresh)
+        batch.insert(data.draw(st.integers(earliest, len(batch))), duplicate)
+        before = _table_state(table, 0.0, 1000.0)
+        with pytest.raises(StorageError):
+            table.insert_many(batch)
+        assert _table_state(table, 0.0, 1000.0) == before
+        # Nothing of the rejected batch was remembered: its rows still go in.
+        assert table.insert_many(fresh) == len(fresh)
+        assert len(table) == len(rows)
 
 
 class TestExportRoundTripProperties:

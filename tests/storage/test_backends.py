@@ -23,7 +23,8 @@ from repro.core.types import (
 from repro.geometry.point import Point
 from repro.geometry.polygon import BoundingBox
 from repro.storage.backends import BACKENDS, MemoryBackend, SQLiteBackend, backend_by_name
-from repro.storage.repositories import DataWarehouse
+from repro.storage.backends.base import DATASETS
+from repro.storage.repositories import DataWarehouse, record_row
 from repro.storage.stream import DataStreamAPI
 
 BACKEND_PARAMS = ("memory", "sqlite-file", "sqlite-memory")
@@ -214,6 +215,88 @@ class TestBackendEquivalence:
             sqlite.trajectories.to_trajectory_set().all_records()
         )
         sqlite.close()
+
+
+#: One typed record of every dataset.
+TYPED_RECORDS = (
+    TrajectoryRecord("a", _loc(1.5, 2.0), 3.0),
+    TrajectoryRecord("a", IndoorLocation("b", 2, partition_id="room1"), 4.0),
+    RSSIRecord("a", "ap1", -61.5, 3.0),
+    PositioningRecord("a", _loc(1.0, 2.5), 3.0, PositioningMethod.FINGERPRINTING),
+    ProbabilisticPositioningRecord(
+        "a", ((_loc(1.0, 2.0, partition="p1"), 0.25), (_loc(3.0, 4.0, partition="p2"), 0.75)), 3.0
+    ),
+    ProximityRecord("a", "rfid1", 1.0, 2.5),
+    DeviceRecord("ap1", DeviceType.WIFI, _loc(0.0, 0.0), 30.0, 1.0),
+)
+
+
+class TestRowShapes:
+    @pytest.mark.parametrize("record", TYPED_RECORDS, ids=lambda r: type(r).__name__)
+    def test_record_row_holds_the_as_record_values_in_column_order(self, record):
+        dataset, row = record_row(record)
+        expected = record.as_record()
+        if dataset == "probabilistic":
+            import json
+
+            expected["candidates"] = json.dumps(expected["candidates"])
+        assert dict(zip(DATASETS[dataset].columns, row)) == {
+            column: expected[column] for column in DATASETS[dataset].columns
+        }
+
+    @pytest.mark.parametrize("kind", BACKEND_PARAMS)
+    def test_a_tuple_and_a_dict_store_equal_values(self, kind, tmp_path):
+        as_tuples = _make_backend(kind, tmp_path / "tuples")
+        as_dicts = _make_backend(kind, tmp_path / "dicts")
+        for record in TYPED_RECORDS:
+            dataset, row = record_row(record)
+            as_tuples.insert_rows(dataset, [row])
+            as_dicts.insert_rows(dataset, [dict(zip(DATASETS[dataset].columns, row))])
+        for dataset in DATASETS:
+            assert as_tuples.all_rows(dataset) == as_dicts.all_rows(dataset)
+            assert as_tuples.count(dataset) >= 1
+        as_tuples.close()
+        as_dicts.close()
+
+    @pytest.mark.parametrize("kind", BACKEND_PARAMS)
+    def test_a_row_tuple_of_the_wrong_width_is_rejected(self, kind, tmp_path):
+        backend = _make_backend(kind, tmp_path)
+        _, row = record_row(TYPED_RECORDS[0])
+        with pytest.raises(StorageError):
+            backend.insert_rows("trajectory", [row, row[:-1]])
+        assert backend.count("trajectory") == 0
+        backend.close()
+
+    @pytest.mark.parametrize("kind", ("sqlite-file", "sqlite-memory"))
+    def test_a_bad_value_in_a_tuple_raises_storage_error(self, kind, tmp_path):
+        backend = _make_backend(kind, tmp_path)
+        _, good = record_row(TYPED_RECORDS[0])
+        bad = good[:3] + ("abc",) + good[4:]  # floor_id is an integer column
+        with pytest.raises(StorageError, match="floor_id"):
+            backend.insert_rows("trajectory", [good, bad])
+        assert backend.count("trajectory") == 0  # nothing of the call was queued
+        backend.close()
+
+    def test_a_repository_refuses_a_record_of_another_dataset(self):
+        warehouse = DataWarehouse()
+        # An RSSI row has as many columns as a proximity row.
+        with pytest.raises(StorageError):
+            warehouse.proximity.add_many([TYPED_RECORDS[2]])
+        assert warehouse.summary()["proximity_records"] == 0
+
+    @pytest.mark.parametrize("kind", BACKEND_PARAMS)
+    def test_add_many_takes_typed_records_and_row_tuples_alike(self, kind, tmp_path):
+        typed = DataWarehouse(_make_backend(kind, tmp_path / "typed"))
+        rows = DataWarehouse(_make_backend(kind, tmp_path / "rows"))
+        repositories = {"trajectory": "trajectories", "device": "devices"}
+        for record in TYPED_RECORDS:
+            dataset, row = record_row(record)
+            getattr(typed, repositories.get(dataset, dataset)).add_many([record])
+            getattr(rows, repositories.get(dataset, dataset)).add_many([row])
+        for dataset in DATASETS:
+            assert typed.query(dataset).all() == rows.query(dataset).all()
+        typed.close()
+        rows.close()
 
 
 class TestSQLitePersistence:
