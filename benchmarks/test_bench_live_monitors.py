@@ -7,8 +7,10 @@ warehouse once per window.  This bench evaluates an identical monitor set
 both ways over the same generated workload, asserts the incremental side is
 at least 2x faster, and spot-checks that both sides produce identical
 per-window answers (the replay-equivalence contract, held exhaustively by
-``tests/properties/test_property_live.py``).  Each side is timed as the best
-of ``REPEATS`` runs, each with a fresh engine or fresh queries, and the two
+``tests/properties/test_property_live.py``).  It also times ``replay()`` of
+the same monitors over the stored warehouse, the scan plus the engine, and
+checks that replay emits the incremental windows.  Each side is timed as the
+best of ``REPEATS`` runs, each with a fresh engine or fresh queries, and the
 sides take turns, so a slow spell of a shared host does not decide the
 floor.
 
@@ -23,7 +25,7 @@ import pytest
 
 from conftest import print_table, record_bench
 
-from repro.live import LiveEngine, Monitor
+from repro.live import LiveEngine, Monitor, replay
 from repro.storage.repositories import DataWarehouse
 
 #: The acceptance floor: incremental must be at least this much faster.
@@ -105,17 +107,22 @@ def _timed(run):
 def test_incremental_monitors_beat_naive_per_window_requery(live_workload):
     records, warehouse = live_workload
 
-    incremental_seconds = naive_seconds = float("inf")
+    incremental_seconds = naive_seconds = replay_seconds = float("inf")
     for _ in range(REPEATS):
         report, seconds = _timed(lambda: _incremental(records))
         incremental_seconds = min(incremental_seconds, seconds)
         bounds = [(w.t_start, w.t_end) for w in report.results["occ"].windows]
         (naive_density, naive_visits), seconds = _timed(lambda: _naive(warehouse, bounds))
         naive_seconds = min(naive_seconds, seconds)
+        replayed, seconds = _timed(lambda: replay(warehouse, _monitors()))
+        replay_seconds = min(replay_seconds, seconds)
 
     # Identical answers first: speed without the contract is worthless.
     assert report.results["occ"].values() == naive_density
     assert report.results["pois"].values() == naive_visits
+    for name in ("occ", "pois"):
+        assert replayed.results[name].windows == report.results[name].windows
+    assert replayed.records_seen == len(records)
 
     speedup = naive_seconds / incremental_seconds if incremental_seconds else float("inf")
     print_table(
@@ -125,6 +132,8 @@ def test_incremental_monitors_beat_naive_per_window_requery(live_workload):
         [
             ["naive per-window re-query", f"{naive_seconds:.3f}", "1.0x"],
             ["incremental engine", f"{incremental_seconds:.3f}", f"{speedup:.1f}x"],
+            ["replay (scan + engine)", f"{replay_seconds:.3f}",
+             f"{naive_seconds / replay_seconds:.1f}x"],
         ],
     )
     record_bench(
@@ -137,6 +146,8 @@ def test_incremental_monitors_beat_naive_per_window_requery(live_workload):
         monitor_overhead_us_per_record=round(
             1e6 * incremental_seconds / max(len(records), 1), 2
         ),
+        replay_seconds=round(replay_seconds, 4),
+        replay_records_per_second=round(len(records) / replay_seconds),
     )
     assert speedup >= MIN_SPEEDUP, (
         f"incremental evaluation is only {speedup:.1f}x faster than naive "

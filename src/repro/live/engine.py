@@ -6,14 +6,17 @@ overlaps, and every monitor's per-window aggregate is maintained in O(delta)
 — no window is ever recomputed from its raw records, and no raw record is
 retained after its aggregates absorbed it.
 
-Three structural ideas keep this both fast and deterministic:
+Four structural ideas keep this both fast and deterministic:
 
+* **One intake shape, evaluated by column** — the engine's input is the
+  stored row tuple, the shape the streaming tap
+  (:meth:`LiveEngine.writer_hook`) and ``replay()`` both hand over as it is
+  (row dicts and typed records are converted to it once).  ``feed`` turns
+  each bounded chunk of rows into columns, and every monitor folds the
+  chunk in with one loop over only the columns it reads.
 * **Shared window assignment** — monitors are grouped by
-  ``(dataset, window, slide)``; the overlapping-window computation happens
-  once per record per group, shared by every monitor in the group.  The
-  streaming tap (:meth:`LiveEngine.writer_hook`) receives the stored row
-  tuples and makes each a row dict once, only for the datasets some monitor
-  consumes.
+  ``(dataset, window, slide)``; each record's set of overlapping windows
+  (its *pane*) is found once per group and shared by every monitor in it.
 * **Per-shard partials** — window aggregates accumulate in a
   :class:`ShardPartial` (sets, counts, minima — all commutative merges) that
   folds into the global window states *in shard order*, making ``workers=N``
@@ -43,19 +46,26 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, islice, repeat
+from operator import and_, eq, sub
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.errors import MonitorError
+from repro.core.errors import MonitorError, StorageError
 from repro.live.monitors import Monitor, MonitorPlan
 from repro.obs import MetricsRegistry, Tracer
 from repro.storage.backends.base import dataset_spec
-from repro.storage.plan import Row
+from repro.storage.repositories import record_row
 
 #: Shared no-op instrumentation for unobserved engines (module-level so an
 #: uninstrumented engine allocates nothing per instance).
 _NULL_METRICS = MetricsRegistry(enabled=False)
 _NULL_TRACER = Tracer(enabled=False)
+
+#: Rows :meth:`LiveEngine.feed` turns into columns and evaluates at a time:
+#: the writer's default ``flush_every`` and replay's default batch, so a
+#: flush or a replay batch is one chunk, and a longer feed holds at most
+#: this many converted rows.
+_FEED_CHUNK = 5000
 
 #: Map from warehouse repository attribute names (the StreamingWriter's
 #: vocabulary) to logical dataset names (the monitor grammar's vocabulary).
@@ -179,6 +189,76 @@ class _MonitorState:
         self.matched = 0
 
 
+class _Batch:
+    """One chunk of fed rows of one dataset, held as columns.
+
+    ``rows`` are the row tuples in the dataset's column order (``names``);
+    :meth:`column` is one column's values.  A column the dataset lacks reads
+    as all ``None``, as a missing key of a row dict does.
+    """
+
+    __slots__ = ("rows", "names", "size", "_columns")
+
+    def __init__(self, names: Sequence[str], rows: List[Tuple]) -> None:
+        self.rows = rows
+        self.names = names
+        self.size = len(rows)
+        self._columns: Dict[str, Tuple] = dict(zip(names, zip(*rows)))
+
+    def column(self, name: str) -> Tuple:
+        values = self._columns.get(name)
+        return values if values is not None else (None,) * self.size
+
+
+class _Panes(dict):
+    """Timestamp -> pane number, for one ``(window, slide)`` group.
+
+    A pane is one distinct set of window indices: every record whose time
+    falls in exactly those windows belongs to it.  ``indices[pane]`` is the
+    set, computed once per distinct timestamp.  The generation clock samples
+    on a fixed grid, so the distinct timestamps are few next to the records,
+    and a batch's pane column is one dict lookup per record.  Pane numbers
+    are small ints, so they key the per-monitor gates cheaply.
+    """
+
+    def __init__(self, window: float, slide: float) -> None:
+        super().__init__()
+        self.window = window
+        self.slide = slide
+        self.indices: List[Tuple[int, ...]] = []
+        self._numbers: Dict[Tuple[int, ...], int] = {}
+
+    def __missing__(self, t: float) -> int:
+        indices = _window_indices(t, self.window, self.slide)
+        pane = self._numbers.get(indices)
+        if pane is None:
+            pane = self._numbers[indices] = len(self.indices)
+            self.indices.append(indices)
+        self[t] = pane
+        return pane
+
+
+def _equal(mask: Optional[List], column: Sequence[Any], value: Any) -> List:
+    """*mask* (``None``: all rows) narrowed to the rows whose cell == *value*."""
+    matches = map(eq, column, repeat(value))
+    return list(matches) if mask is None else list(map(and_, mask, matches))
+
+
+def _narrow(mask: Optional[List], test: Callable[..., Any], *columns: Sequence[Any]) -> List:
+    """*mask* (``None``: all rows) narrowed to the rows whose cells of
+    *columns* pass *test*; *test* runs only on rows the mask still keeps."""
+    if mask is None:
+        return list(map(test, *columns))
+    if len(columns) == 1:
+        return [keep and test(cell) for keep, cell in zip(mask, columns[0])]
+    xs, ys = columns
+    return [keep and test(x, y) for keep, x, y in zip(mask, xs, ys)]
+
+
+def _has_point(x: Any, y: Any) -> bool:
+    return x is not None and y is not None
+
+
 class _Runtime:
     """One subscribed monitor: its plan plus the evaluation strategy."""
 
@@ -194,13 +274,16 @@ class _Runtime:
         #: no object spans two shards, so this state can live globally —
         #: which also lets replay drain alerts mid-scan without losing it.
         self.object_state: Dict[str, Any] = {}
-        #: The per-slide dedup gate: records of one object falling in the
-        #: same window-index set carry idempotent contributions (a distinct
-        #: set already holds the object; a min can only improve), so the
-        #: second and later ones skip the per-window updates entirely.  This
-        #: is what makes maintenance O(delta): per (windows, object[, key])
-        #: combination the aggregates are touched once, not once per record.
-        self.pane_gate: Dict[Tuple, Any] = {}
+        #: The pane gate: the (pane, object[, partition]) keys whose
+        #: contribution the windows already hold.  A contribution is
+        #: idempotent (a distinct set already holds the object) or monotone
+        #: (kNN keeps the key's best distance; only a smaller one can change
+        #: a window's min), so a key's second and later records skip the
+        #: per-window updates — the aggregates are touched once per key, not
+        #: once per record, in any record order.
+        self.pane_gate: Any = {} if plan.kind == "knn" else set()
+        self._column_filters = tuple(f for f in plan.filters if f.op != "python")
+        self._python_filters = tuple(f for f in plan.filters if f.op == "python")
         #: Statically empty: the monitor's region cannot intersect its floor
         #: (SpatialService-backed pruning), so no record can ever match.
         self.static_empty = False
@@ -225,98 +308,133 @@ class _Runtime:
     # ------------------------------------------------------------------ #
     # Record intake (shard-local)
     # ------------------------------------------------------------------ #
-    def accept(self, row: Row) -> bool:
-        """Whether *row* passes the monitor's target and predicate filters."""
+    def selection(self, batch: _Batch) -> Optional[List]:
+        """Per row of *batch*, whether it passes the monitor's target and
+        predicate filters; ``None`` when every row does.
+
+        Cheap column tests run first, so the costlier ones (the region, a
+        callable predicate, which needs a row dict) only see the rows still
+        selected.
+        """
         plan = self.plan
         if self.static_empty:
-            return False
-        if plan.floor_id is not None and row.get("floor_id") != plan.floor_id:
-            return False
-        if plan.partition_id is not None and row.get("partition_id") != plan.partition_id:
-            return False
+            return [False] * batch.size
+        mask = None
+        if plan.floor_id is not None:
+            mask = _equal(mask, batch.column("floor_id"), plan.floor_id)
+        if plan.partition_id is not None:
+            mask = _equal(mask, batch.column("partition_id"), plan.partition_id)
         if plan.region is not None and plan.kind != "geofence":
             # A geofence must also see out-of-region records (they are what
             # exits look like), so only non-geofence monitors may prune here.
-            partition = row.get("partition_id")
-            if (
-                self.partition_prefilter is not None
-                and partition
-                and partition not in self.partition_prefilter
-            ):
-                return False
-            if not plan.region.matches(row):
-                return False
-        if plan.kind == "knn" and (row.get("x") is None or row.get("y") is None):
-            return False
-        for predicate in plan.filters:
-            if not predicate.matches(row):
-                return False
-        return True
+            prefilter = self.partition_prefilter
+            if prefilter is not None:
+                mask = _narrow(
+                    mask, lambda partition: not partition or partition in prefilter,
+                    batch.column("partition_id"),
+                )
+            mask = _narrow(mask, plan.region.contains, batch.column("x"), batch.column("y"))
+        if plan.kind == "knn":
+            mask = _narrow(mask, _has_point, batch.column("x"), batch.column("y"))
+        for predicate in self._column_filters:
+            mask = _narrow(mask, predicate.matches_cell, batch.column(predicate.column))
+        if self._python_filters:
+            names, predicates = batch.names, self._python_filters
 
-    def absorb(self, state: _MonitorState, row: Row, indices: Sequence[int]) -> None:
-        """Fold one accepted record into the shard-local aggregates."""
-        kind = self.plan.kind
-        state.matched += 1
-        if kind == "density":
-            gate = (indices, row["object_id"])
-            if gate in self.pane_gate:
-                return  # these windows already count this object
-            self.pane_gate[gate] = True
-            for index in indices:
-                state.windows.setdefault(index, set()).add(row["object_id"])
-        elif kind == "visit_counts":
-            partition = row.get("partition_id")
-            if partition:
-                gate = (indices, row["object_id"], partition)
-                if gate in self.pane_gate:
-                    return
-                self.pane_gate[gate] = True
-                for index in indices:
-                    state.windows.setdefault(index, {}).setdefault(
-                        partition, set()
-                    ).add(row["object_id"])
-        elif kind == "knn":
-            distance = math.hypot(row["x"] - self.plan.x, row["y"] - self.plan.y)
-            gate = (indices, row["object_id"])
-            best = self.pane_gate.get(gate)
-            if best is not None and distance >= best:
-                return  # every one of these windows already holds a better min
-            self.pane_gate[gate] = distance
-            for index in indices:
-                window = state.windows.setdefault(index, {})
-                previous = window.get(row["object_id"])
-                if previous is None or distance < previous:
-                    window[row["object_id"]] = distance
-        elif kind == "flow":
-            self._absorb_flow(state, row, indices)
-        elif kind == "geofence":
-            self._absorb_geofence(state, row, indices)
+            def passes(row: Tuple) -> bool:
+                record = dict(zip(names, row))
+                return all(predicate.matches(record) for predicate in predicates)
 
-    def _absorb_flow(self, state: _MonitorState, row: Row, indices: Sequence[int]) -> None:
-        object_id = row["object_id"]
-        partition = row.get("partition_id")
-        previous = self.object_state.get(object_id)
-        self.object_state[object_id] = partition
-        if (
-            previous == self.plan.from_partition
-            and partition == self.plan.to_partition
-        ):
-            for index in indices:
-                state.windows[index] = state.windows.get(index, 0) + 1
+            mask = _narrow(mask, passes, batch.rows)
+        return mask
 
-    def _absorb_geofence(self, state: _MonitorState, row: Row, indices: Sequence[int]) -> None:
-        object_id = row["object_id"]
-        inside = self.plan.region.matches(row)
-        was_inside = self.object_state.get(object_id, False)
-        self.object_state[object_id] = inside
-        if inside == was_inside:
+    def absorb(self, state: _MonitorState, batch: _Batch, panes: List[int],
+               pane_indices: List[Tuple[int, ...]]) -> None:
+        """Fold a batch into the shard-local aggregates, one column loop.
+
+        *panes* is the batch's pane column and *pane_indices* maps a pane to
+        its window indices.  Rows are visited in batch order, which the
+        per-object state machines (flow, geofence) rely on.
+        """
+        mask = self.selection(batch)
+
+        def column(values: Sequence[Any]) -> Sequence[Any]:
+            return values if mask is None else list(compress(values, mask))
+
+        objects = column(batch.column("object_id"))
+        if not objects:
             return
-        kind = "enter" if inside else "exit"
-        event = GeofenceAlert(self.name, row["t"], object_id, kind)
-        for index in indices:
-            state.windows.setdefault(index, []).append(event)
-        if kind in self.plan.alert_on:
-            state.events.append(event)
+        panes = column(panes)
+        state.matched += len(objects)
+        kind = self.plan.kind
+        windows = state.windows
+        if kind == "density":
+            fresh = set(zip(panes, objects)).difference(self.pane_gate)
+            self.pane_gate |= fresh
+            for pane, object_id in fresh:
+                for index in pane_indices[pane]:
+                    windows.setdefault(index, set()).add(object_id)
+        elif kind == "visit_counts":
+            partitions = column(batch.column("partition_id"))
+            keys = compress(zip(panes, objects, partitions), partitions)
+            fresh = set(keys).difference(self.pane_gate)
+            self.pane_gate |= fresh
+            for pane, object_id, partition in fresh:
+                for index in pane_indices[pane]:
+                    windows.setdefault(index, {}).setdefault(partition, set()).add(object_id)
+        elif kind == "knn":
+            self._absorb_knn(windows, objects, panes, pane_indices,
+                             column(batch.column("x")), column(batch.column("y")))
+        elif kind == "flow":
+            self._absorb_flow(windows, objects, panes, pane_indices,
+                              column(batch.column("partition_id")))
+        elif kind == "geofence":
+            self._absorb_geofence(state, objects, panes, pane_indices,
+                                  column(batch.column("x")), column(batch.column("y")),
+                                  column(batch.column("t")))
+
+    def _absorb_knn(self, windows, objects, panes, pane_indices, xs, ys) -> None:
+        gate = self.pane_gate
+        distances = map(math.hypot, map(sub, xs, repeat(self.plan.x)),
+                        map(sub, ys, repeat(self.plan.y)))
+        for pane, object_id, distance in zip(panes, objects, distances):
+            key = (pane, object_id)
+            best = gate.get(key)
+            if best is not None and distance >= best:
+                continue  # every one of these windows already holds a better min
+            gate[key] = distance
+            for index in pane_indices[pane]:
+                window = windows.setdefault(index, {})
+                previous = window.get(object_id)
+                if previous is None or distance < previous:
+                    window[object_id] = distance
+
+    def _absorb_flow(self, windows, objects, panes, pane_indices, partitions) -> None:
+        last = self.object_state
+        source, target = self.plan.from_partition, self.plan.to_partition
+        for object_id, partition, pane in zip(objects, partitions, panes):
+            previous = last.get(object_id)
+            last[object_id] = partition
+            if partition == target and previous == source:
+                for index in pane_indices[pane]:
+                    windows[index] = windows.get(index, 0) + 1
+
+    def _absorb_geofence(self, state, objects, panes, pane_indices, xs, ys, times) -> None:
+        last = self.object_state
+        windows, events = state.windows, state.events
+        alert_on = self.plan.alert_on
+        for object_id, inside, t, pane in zip(
+            objects, map(self.plan.region.contains, xs, ys), times, panes
+        ):
+            if inside == last.get(object_id, False):
+                continue
+            last[object_id] = inside
+            kind = "enter" if inside else "exit"
+            event = GeofenceAlert(self.name, t, object_id, kind)
+            for index in pane_indices[pane]:
+                windows.setdefault(index, []).append(event)
+            if kind in alert_on:
+                events.append(event)
 
     # ------------------------------------------------------------------ #
     # Shard merge and finalization
@@ -409,10 +527,10 @@ class LiveEngine:
         ...                                  # further shards, in shard order
         report = engine.finalize()
 
-    ``feed`` accepts typed records (anything with ``as_record()``) or plain
-    row dicts; :meth:`writer_hook` adapts the streaming writer's row tuples.
-    Subscribing after the first record has been fed raises — a late
-    subscriber would silently miss windows.
+    ``feed`` takes row tuples in the dataset's column order (the stored
+    row shape the streaming writer and replay hand over), row dicts or
+    typed records.  Subscribing after the first record has been fed raises
+    — a late subscriber would silently miss windows.
     """
 
     def __init__(
@@ -442,11 +560,9 @@ class LiveEngine:
         self.shards_merged = 0
         self._runtimes: Dict[str, _Runtime] = {}
         self._groups: Dict[Tuple[str, float, float], List[_Runtime]] = {}
-        #: Per (window, slide) group: timestamp -> window-index tuple.  The
-        #: generation clock samples on a fixed grid, so the distinct t count
-        #: is tiny next to the record count and the shared assignment is a
-        #: dict hit for almost every record.
-        self._index_memo: Dict[Tuple[float, float], Dict[float, Tuple[int, ...]]] = {}
+        #: Per (window, slide) group: its panes, shared by every monitor of
+        #: the group (and by datasets with the same window shape).
+        self._panes: Dict[Tuple[float, float], _Panes] = {}
         self._t_max: Dict[str, float] = {}
         self._partial: Optional[ShardPartial] = None
         self._started = False
@@ -473,8 +589,10 @@ class LiveEngine:
             serial += 1
         runtime = _Runtime(name, plan, spatial=self._spatial)
         self._runtimes[name] = runtime
-        key = (plan.dataset, plan.window, plan.slide_seconds)
-        self._groups.setdefault(key, []).append(runtime)
+        window, slide = plan.window, plan.slide_seconds
+        self._groups.setdefault((plan.dataset, window, slide), []).append(runtime)
+        if (window, slide) not in self._panes:
+            self._panes[(window, slide)] = _Panes(window, slide)
         return name
 
     @property
@@ -503,37 +621,45 @@ class LiveEngine:
     def feed(self, dataset: str, records: Iterable[Any]) -> int:
         """Stream *records* of *dataset* into the monitors; returns the count.
 
-        Typed records are converted to row dicts once and shared across every
-        monitor; each row touches only the windows it overlaps (O(delta)).
+        Each record is a row tuple in the dataset's column order, a row dict
+        (a missing key reads as ``None``) or a typed record.  They are taken
+        ``_FEED_CHUNK`` at a time and made columns once per chunk; then each
+        ``(window, slide)`` group assigns every record its windows once, and
+        each monitor folds the chunk in with one loop over the columns it
+        reads, touching only the windows each record overlaps (O(delta)).
         """
         self._check_not_finalized()
         groups = [
-            (window, slide, runtimes,
-             self._index_memo.setdefault((window, slide), {}))
+            (self._panes[(window, slide)], runtimes)
             for (ds, window, slide), runtimes in self._groups.items()
             if ds == dataset
         ]
         if not groups:
             return 0
-        count = 0
         if self._partial is None:
             self.begin_shard(None)
         self._started = True
         partial = self._partial
-        for record in records:
-            row = record.as_record() if hasattr(record, "as_record") else record
-            count += 1
-            t = row["t"]
-            t_max = self._t_max.get(dataset)
-            if t_max is None or t > t_max:
-                self._t_max[dataset] = t
-            for window, slide, runtimes, memo in groups:
-                indices = memo.get(t)
-                if indices is None:
-                    indices = memo[t] = _window_indices(t, window, slide)
+        names = dataset_spec(dataset).columns
+        records = iter(records)
+        count = 0
+        while True:
+            rows = _rows(dataset, names, islice(records, _FEED_CHUNK))
+            if not rows:
+                break
+            count += len(rows)
+            batch = _Batch(names, rows)
+            times = batch.column("t")
+            if None in times:
+                raise MonitorError(f"every fed {dataset} record needs a time 't'")
+            t_max = max(times)
+            if dataset not in self._t_max or t_max > self._t_max[dataset]:
+                self._t_max[dataset] = t_max
+            for panes, runtimes in groups:
+                pane_column = list(map(panes.__getitem__, times))
                 for runtime in runtimes:
-                    if runtime.accept(row):
-                        runtime.absorb(partial.states[runtime.name], row, indices)
+                    runtime.absorb(partial.states[runtime.name], batch, pane_column,
+                                   panes.indices)
         partial.records += count
         self.records_seen += count
         if count and self._first_feed is None:
@@ -546,17 +672,12 @@ class LiveEngine:
 
         The writer calls it with ``(repo_name, rows)`` at every flush, so
         monitors consume the stream at exactly the flush-bounded cadence the
-        memory budget already pays for.  Rows are tuples in the dataset's
-        column order; each becomes a row dict as :meth:`feed` reaches it,
-        which it does only for a dataset some monitor consumes.
+        memory budget already pays for.  The rows, tuples in the dataset's
+        column order, go to :meth:`feed` as they are: no dict is built.
         """
 
         def hook(repo_name: str, rows: Sequence[Any]) -> None:
-            dataset = REPO_DATASETS.get(repo_name, repo_name)
-            if rows and type(rows[0]) is tuple:
-                columns = dataset_spec(dataset).columns
-                rows = map(dict, map(zip, repeat(columns), rows))
-            self.feed(dataset, rows)
+            self.feed(REPO_DATASETS.get(repo_name, repo_name), rows)
 
         return hook
 
@@ -642,6 +763,32 @@ class LiveEngine:
     def _check_not_finalized(self) -> None:
         if self._finalized:
             raise MonitorError("this engine has been finalized; build a new one")
+
+
+def _rows(dataset: str, names: Tuple[str, ...], records: Iterable[Any]) -> List[Tuple]:
+    """*records* as row tuples in *names* order (tuples pass as they are)."""
+    rows = [record if type(record) is tuple else _row(dataset, names, record)
+            for record in records]
+    if rows and set(map(len, rows)) != {len(names)}:
+        raise MonitorError(
+            f"a {dataset} row tuple needs {len(names)} values ({', '.join(names)})"
+        )
+    return rows
+
+
+def _row(dataset: str, names: Tuple[str, ...], record: Any) -> Tuple:
+    if isinstance(record, dict):
+        return tuple(map(record.get, names))
+    try:
+        stored, row = record_row(record)
+    except StorageError:
+        stored = None
+    if stored != dataset:
+        raise MonitorError(
+            f"cannot feed a {type(record).__name__} as a {dataset} record; "
+            "feed() takes row tuples, row dicts or typed records"
+        )
+    return row
 
 
 def _window_indices(t: float, window: float, slide: float) -> Tuple[int, ...]:

@@ -4,7 +4,8 @@ The second drive mode of the continuous-query engine.  Where attached mode
 consumes records as the streaming pipeline writes them, ``replay`` scans the
 stored datasets back out *through the query planner* — a single time-ordered
 builder query per dataset, pushed down to indexed SQL on SQLite and the time
-index on the memory engine — and feeds the very same :class:`LiveEngine`.
+index on the memory engine, read with :meth:`~repro.storage.query.Query.tuples`
+— and feeds the row tuples to the very same :class:`LiveEngine`.
 
 Because both modes run identical evaluation code over the same record
 multiset (the stream is what was stored), every monitor's finalized window
@@ -17,8 +18,10 @@ pins it down across random buildings, seeds and window shapes).
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Any, Callable, Iterable, Optional
 
+from repro.core.errors import MonitorError
 from repro.live.engine import GeofenceAlert, LiveEngine, LiveReport
 from repro.live.monitors import Monitor
 
@@ -36,7 +39,8 @@ def replay(
 
     Args:
         warehouse: a :class:`~repro.storage.repositories.DataWarehouse` (or
-            anything exposing ``query(dataset)``).
+            anything whose ``query(dataset)`` returns a
+            :class:`~repro.storage.query.Query`).
         monitors: the standing monitors to evaluate.
         spatial: optional :class:`~repro.spatial.SpatialService` used for
             region/kNN pruning (results are identical without it).
@@ -51,6 +55,8 @@ def replay(
     Returns:
         The :class:`LiveReport` with every monitor's finalized windows.
     """
+    if batch_size < 1:
+        raise MonitorError("replay batch_size must be at least 1")
     engine = LiveEngine(
         monitors,
         spatial=spatial,
@@ -62,18 +68,17 @@ def replay(
         # One streaming, time-ordered scan per dataset: the planner pushes
         # the order-by into the engine's index, and per-object time order
         # (all the per-object state machines need) follows from the global
-        # one.  Feeding in bounded batches keeps the alert queue drained at
-        # the same cadence a streaming run's flushes would.
+        # one.  The scan yields row tuples, the engine's intake shape.
+        # Feeding in bounded batches keeps the alert queue drained at the
+        # same cadence a streaming run's flushes would.
+        rows = warehouse.query(dataset).order_by("t").tuples()
         engine.begin_shard(None)
-        rows = warehouse.query(dataset).order_by("t").iter()
-        batch = []
-        for row in rows:
-            batch.append(row)
-            if len(batch) >= batch_size:
-                engine.feed(dataset, batch)
-                engine.end_shard()
-                engine.begin_shard(None)
-                batch = []
+        batch = list(islice(rows, batch_size))
+        while len(batch) == batch_size:
+            engine.feed(dataset, batch)
+            engine.end_shard()
+            engine.begin_shard(None)
+            batch = list(islice(rows, batch_size))
         engine.feed(dataset, batch)
         engine.end_shard()
     return engine.finalize()

@@ -13,10 +13,12 @@ can run unchanged on top of any engine:
   spatial grid-bucket indices (persistent, larger-than-RAM).
 
 Every dataset is described by a :class:`DatasetSpec`; rows read back are
-plain dictionaries with one key per column, identical across backends, so
-records serialise the same way everywhere.  Rows written may also be tuples
-in ``DatasetSpec.columns`` order, the shape the generation write path
-produces once per record (:func:`~repro.storage.repositories.record_row`).
+plain dictionaries with one key per column (or, through
+:meth:`~repro.storage.query.Query.tuples`, tuples in column order),
+identical across backends, so records serialise the same way everywhere.
+Rows written may also be tuples in ``DatasetSpec.columns`` order, the shape
+the generation write path produces once per record
+(:func:`~repro.storage.repositories.record_row`).
 The base class ships portable Python implementations of the higher-level
 query operators (snapshot, spatial range, kNN, aggregations) expressed in
 terms of the storage primitives; engines override them with native (e.g.
@@ -26,7 +28,6 @@ SQL) implementations where profitable.
 from __future__ import annotations
 
 import abc
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -372,16 +373,23 @@ class StorageBackend(abc.ABC):
     def knn(
         self, floor_id: int, x: float, y: float, t: float, k: int, tolerance: float
     ) -> List[Tuple[str, float]]:
-        """The *k* objects closest to ``(x, y)`` on *floor_id* around time *t*."""
+        """The *k* objects closest to ``(x, y)`` on *floor_id* around time *t*.
+
+        Objects rank by the squared distance ``d2``, ties by object id, and
+        each distance is ``d2 ** 0.5``.  ``d2`` is computed with the same
+        operations in the same order as the SQLite engine's SQL, so both
+        engines rank a near-tie alike and return the same bits.
+        """
         if k <= 0:
             return []
         scored = []
         for object_id, row in self.snapshot_rows(t, tolerance).items():
             if row["floor_id"] != floor_id or row["x"] is None or row["y"] is None:
                 continue
-            scored.append((object_id, math.hypot(row["x"] - x, row["y"] - y)))
-        scored.sort(key=lambda pair: (pair[1], pair[0]))
-        return scored[:k]
+            d2 = (row["x"] - x) * (row["x"] - x) + (row["y"] - y) * (row["y"] - y)
+            scored.append((d2, object_id))
+        scored.sort()
+        return [(object_id, d2 ** 0.5) for d2, object_id in scored[:k]]
 
     def proximity_active_at(self, t: float) -> List[Row]:
         """Proximity detection periods covering time *t*."""

@@ -23,6 +23,11 @@ scans, a time index for range scans, and — for the datasets that embed a
 coordinate — a spatial grid-bucket index on ``(floor_id, cell_x, cell_y)``
 where ``cell_* = floor(coordinate / cell_size)``, so spatial range queries
 prefilter on integer buckets before the exact geometric predicate runs.
+
+Reads get plain tuples from the cursor (the connection has no row factory):
+a plan's :attr:`~repro.storage.plan.PlanExecution.tuples` hands them over
+as they are, and every read that returns dicts builds each one with
+``dict(zip(columns, row))``.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import sqlite3
 from itertools import repeat
 from operator import floordiv
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import StorageError
 from repro.storage.backends.base import (
@@ -68,6 +73,11 @@ def _column_type(column: str) -> str:
     return "TEXT"
 
 
+def _dicts(columns: Sequence[str], rows: Iterable[Tuple]) -> Iterator[Row]:
+    """Row tuples in *columns* order as row dicts (lazily, one per row)."""
+    return map(dict, map(zip, repeat(columns), rows))
+
+
 class SQLiteBackend(StorageBackend):
     """On-disk (or ``:memory:``) SQLite engine with batched writes."""
 
@@ -94,7 +104,6 @@ class SQLiteBackend(StorageBackend):
             Path(self.path).parent.mkdir(parents=True, exist_ok=True)
         try:
             self._connection = sqlite3.connect(self.path)
-            self._connection.row_factory = sqlite3.Row
             self._pending: Dict[str, List[Tuple]] = {name: [] for name in DATASETS}
             #: Per dataset, in column order: each column's coercion, and the
             #: value types that need none.
@@ -327,13 +336,12 @@ class SQLiteBackend(StorageBackend):
     # Read path
     # ------------------------------------------------------------------ #
     def _select(self, dataset: str, suffix: str = "", params: Tuple = ()) -> List[Row]:
-        spec = dataset_spec(dataset)
+        columns = dataset_spec(dataset).columns
         self._drain(dataset)
-        columns = ", ".join(spec.columns)
         cursor = self._connection.execute(
-            f"SELECT {columns} FROM {dataset} {suffix}", params
+            f"SELECT {', '.join(columns)} FROM {dataset} {suffix}", params
         )
-        return [dict(row) for row in cursor.fetchall()]
+        return list(_dicts(columns, cursor))
 
     def count(self, dataset: str) -> int:
         dataset_spec(dataset)
@@ -367,13 +375,13 @@ class SQLiteBackend(StorageBackend):
 
     def iter_time_ordered(self, dataset: str) -> Iterator[Row]:
         time_column = self._time_column(dataset)
-        spec = dataset_spec(dataset)
+        columns = dataset_spec(dataset).columns
         self._drain(dataset)
         cursor = self._connection.execute(
-            f"SELECT {', '.join(spec.columns)} FROM {dataset} "
+            f"SELECT {', '.join(columns)} FROM {dataset} "
             f"ORDER BY {time_column}, rowid"
         )
-        return (dict(row) for row in cursor)
+        return _dicts(columns, cursor)
 
     def distinct(self, dataset: str, column: str) -> List[Any]:
         spec = dataset_spec(dataset)
@@ -573,17 +581,18 @@ class SQLiteBackend(StorageBackend):
         pushed.append(("sql", sql))
         bound = tuple(params)
 
-        def rows() -> Iterator[Row]:
+        def tuples() -> Iterator[Tuple]:
             self._drain(plan.dataset)
-            return (dict(row) for row in self._connection.execute(sql, bound))
+            return self._connection.execute(sql, bound)
 
         return PlanExecution(
-            rows=rows,
+            rows=lambda: _dicts(columns, tuples()),
             pushed=pushed,
             residual_filters=tuple(residual),
             residual_order=residual_order,
             needs_projection=not fully_filtered and plan.columns is not None,
             needs_limit=needs_limit,
+            tuples=tuples,
         )
 
     def _aggregate_sql(self, dataset: str, aggregate, where_sql: str):
@@ -634,9 +643,7 @@ class SQLiteBackend(StorageBackend):
             f"SELECT {aggregate.by}, {selected} FROM {dataset}{where_sql} "
             f"GROUP BY {aggregate.by}"
         )
-        return sql, lambda cursor: {
-            row[0]: to_stats(tuple(row)[1:]) for row in cursor.fetchall()
-        }
+        return sql, lambda cursor: {row[0]: to_stats(row[1:]) for row in cursor.fetchall()}
 
     # ------------------------------------------------------------------ #
     # Native query operators (index-backed SQL)
@@ -652,23 +659,26 @@ class SQLiteBackend(StorageBackend):
         return (low, high)
 
     def snapshot_rows(self, t: float, tolerance: float) -> Dict[str, Row]:
-        spec = dataset_spec("trajectory")
+        # Of two samples equally far from t, the earlier one wins (then the
+        # earlier row), as in the memory engine's time-ordered scan; knn()
+        # ranks the same samples.
+        columns = dataset_spec("trajectory").columns
         self._drain("trajectory")
-        columns = ", ".join(spec.columns)
+        selected = ", ".join(columns)
         cursor = self._connection.execute(
             f"""
             WITH windowed AS (
-                SELECT {columns},
+                SELECT {selected},
                        ROW_NUMBER() OVER (
-                           PARTITION BY object_id ORDER BY ABS(t - ?), rowid
+                           PARTITION BY object_id ORDER BY ABS(t - ?), t, rowid
                        ) AS rank
                 FROM trajectory WHERE t BETWEEN ? AND ?
             )
-            SELECT {columns} FROM windowed WHERE rank = 1
+            SELECT {selected} FROM windowed WHERE rank = 1
             """,
             (float(t), float(t) - float(tolerance), float(t) + float(tolerance)),
         )
-        return {row["object_id"]: dict(row) for row in cursor.fetchall()}
+        return {row["object_id"]: row for row in _dicts(columns, cursor.fetchall())}
 
     def region_object_ids(
         self,
@@ -719,7 +729,7 @@ class SQLiteBackend(StorageBackend):
             WITH windowed AS (
                 SELECT object_id, floor_id, x, y,
                        ROW_NUMBER() OVER (
-                           PARTITION BY object_id ORDER BY ABS(t - ?), rowid
+                           PARTITION BY object_id ORDER BY ABS(t - ?), t, rowid
                        ) AS rank
                 FROM trajectory WHERE t BETWEEN ? AND ?
             )

@@ -7,7 +7,8 @@ The composable query layer splits a query into three stages:
 2. the storage engine inspects the plan and *pushes down* whatever it can
    execute natively — parameterized SQL on SQLite, the hash/time indices on
    the memory engine — returning a :class:`PlanExecution` that pairs a lazy
-   row source with a record of what was pushed and what remains;
+   row source (dicts, and the engine's own tuples where it has them) with a
+   record of what was pushed and what remains;
 3. the planner (:func:`repro.storage.query.execute_plan`) applies the
    *residual* steps (un-pushed filters, ordering, projection, limits,
    aggregation) as a streaming Python fallback.
@@ -70,7 +71,10 @@ class Filter:
         """Evaluate this predicate against a row (the portable fallback)."""
         if self.op == "python":
             return bool(self.value(row))
-        cell = row.get(self.column)
+        return self.matches_cell(row.get(self.column))
+
+    def matches_cell(self, cell: Any) -> bool:
+        """Evaluate a column predicate against one cell of its column."""
         if self.op == "==":
             return cell == self.value
         if self.op == "!=":
@@ -111,7 +115,10 @@ class Region:
         )
 
     def matches(self, row: Row) -> bool:
-        x, y = row.get("x"), row.get("y")
+        return self.contains(row.get("x"), row.get("y"))
+
+    def contains(self, x: Any, y: Any) -> bool:
+        """Whether the point ``(x, y)`` lies in the box (never a missing one)."""
         if x is None or y is None:
             return False
         return self.min_x <= x <= self.max_x and self.min_y <= y <= self.max_y
@@ -186,6 +193,10 @@ class PlanExecution:
     #: Engine-native aggregate execution; ``None`` when the aggregate (if
     #: any) is left to the portable fallback.
     aggregate_thunk: Optional[Callable[[], Any]] = None
+    #: The rows of ``rows`` as the engine produces them natively: tuples in
+    #: the plan's column order (``select()``'s, else the dataset's).
+    #: ``None`` when the engine's own rows are dicts.
+    tuples: Optional[Callable[[], Iterator[Tuple]]] = None
 
     def residual_steps(self) -> List[str]:
         """Human-readable names of the Python-fallback steps."""

@@ -16,19 +16,22 @@ into a small declarative query language:
 
 A :class:`Query` is immutable and lazy: every chained call returns a new
 builder, and nothing touches the storage engine until a terminal verb runs
-(``all``/``iter``/``first``/``records``/``count``/``count_by``/``distinct``/
-``stats``/``snapshot``/``knn``).  The terminal compiles the builder state into
+(``all``/``iter``/``tuples``/``first``/``records``/``count``/``count_by``/
+``distinct``/``stats``/``snapshot``/``knn``).  The terminal compiles the builder state into
 a :class:`~repro.storage.plan.QueryPlan` and hands it to the engine, which
 pushes down whatever it can execute natively — parameterized SQL on SQLite,
 the hash/time indices on the memory engine.  The planner then streams the
 engine's rows through the *residual* steps in Python, so every query returns
 identical results on every engine, differing only in how much work the engine
 absorbed.  :meth:`Query.explain` reports that split without reading any data.
+Rows come back as dicts, except from :meth:`Query.tuples`, which streams the
+same rows as tuples in column order for bulk consumers such as replay.
 """
 
 from __future__ import annotations
 
 import time
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.errors import StorageError
@@ -70,7 +73,29 @@ def run_plan(backend: StorageBackend, plan: QueryPlan) -> Any:
             execution.rows(), execution.residual_filters, execution.residual_region
         )
         return compute_aggregate(rows, plan.aggregate)
-    rows: Any = execution.rows()
+    return _residual_rows(execution.rows(), execution, plan)
+
+
+def _run_plan_tuples(backend: StorageBackend, plan: QueryPlan) -> Iterator[Tuple]:
+    """Execute row plan *plan* on *backend*, streaming each row as a tuple.
+
+    The tuple holds the row's values in column order: the plan's projected
+    columns, else the dataset's.  The push-down is :func:`run_plan`'s; when
+    nothing is left residual, the engine's own tuples (SQLite's cursor) are
+    handed over without a dict per row, and otherwise the residual steps run
+    on row dicts as always and each resulting row becomes its tuple.
+    """
+    execution = backend.execute_plan(plan)
+    if execution.tuples is not None and not execution.residual_steps():
+        return execution.tuples()
+    columns = plan.columns or dataset_spec(plan.dataset).columns
+    # itemgetter of a single key returns the bare value, not a 1-tuple.
+    as_tuple = itemgetter(*columns) if len(columns) > 1 else lambda row: (row[columns[0]],)
+    return map(as_tuple, _residual_rows(execution.rows(), execution, plan))
+
+
+def _residual_rows(rows: Iterator[Row], execution, plan: QueryPlan) -> Iterator[Row]:
+    """Stream the engine's *rows* through the residual steps of *execution*."""
     if execution.residual_filters or execution.residual_region is not None:
         rows = apply_filters(rows, execution.residual_filters, execution.residual_region)
     if execution.residual_order:
@@ -152,16 +177,7 @@ def profile_plan(backend: StorageBackend, plan: QueryPlan) -> Dict[str, Any]:
             value = compute_aggregate(rows, plan.aggregate)
             result = {"kind": "aggregate", "value": value}
         else:
-            rows: Any = iter(scanned)
-            if execution.residual_filters or execution.residual_region is not None:
-                rows = apply_filters(rows, execution.residual_filters, execution.residual_region)
-            if execution.residual_order:
-                rows = iter(apply_order(rows, execution.residual_order))
-            if execution.needs_limit and (plan.limit is not None or plan.offset):
-                rows = apply_window(rows, plan.offset, plan.limit)
-            if execution.needs_projection and plan.columns is not None:
-                rows = apply_projection(rows, plan.columns)
-            rows_returned = sum(1 for _ in rows)
+            rows_returned = sum(1 for _ in _residual_rows(iter(scanned), execution, plan))
             result = {"kind": "rows", "count": rows_returned}
         residual_seconds = time.perf_counter() - residual_start
 
@@ -378,7 +394,7 @@ class Query:
         return plan
 
     def _aggregate_for(self, verb: str, column: Optional[str], by: Optional[str]) -> Optional[Aggregate]:
-        if verb in ("all", "iter", "first"):
+        if verb in ("all", "iter", "first", "tuples"):
             return None
         if verb == "count":
             return Aggregate("count")
@@ -400,6 +416,17 @@ class Query:
         return run_plan(self._backend, self.plan("iter"))
 
     __iter__ = iter
+
+    def tuples(self) -> Iterator[Tuple]:
+        """Stream the result rows as tuples, in column order.
+
+        The order is the ``select()`` columns', else the dataset's
+        ``DatasetSpec.columns``.  Same plan, push-down and rows as
+        :meth:`iter`, without a dict per row where the engine can avoid it:
+        SQLite hands over its cursor's tuples, and the memory engine's stored
+        rows go through one ``itemgetter``.
+        """
+        return _run_plan_tuples(self._backend, self.plan("tuples"))
 
     def all(self) -> List[Row]:
         """Every result row, as plain dictionaries."""

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core.errors import MonitorError
-from repro.core.types import IndoorLocation, TrajectoryRecord
+from repro.core.types import IndoorLocation, RSSIRecord, TrajectoryRecord
 from repro.live.engine import LiveEngine, _window_indices
 from repro.live.monitors import Monitor
+from repro.storage.repositories import record_row
 
 
 def rec(object_id, x, y, t, floor=0, partition="hall"):
@@ -205,9 +206,34 @@ class TestEngineProtocol:
         assert sharded.shards_merged == 2
 
     def test_accepts_plain_row_dicts(self):
-        monitors = [Monitor.density(floor=0).window(10).named("occ")]
-        rows = [rec("a", 1, 1, 0.0).as_record()]
-        assert run(monitors, rows).results["occ"].values() == [1]
+        monitors = [Monitor.density(floor=0).window(10).named("occ"),
+                    Monitor.visit_counts().window(10).named("pois")]
+        # A missing key reads as None: "b" has no partition to visit.
+        rows = [rec("a", 1, 1, 0.0).as_record(), {"object_id": "b", "t": 1.0, "floor_id": 0}]
+        report = run(monitors, rows)
+        assert report.results["occ"].values() == [2]
+        assert report.results["pois"].values() == [(("hall", 1),)]
+        assert report.results["pois"].records_matched == 2
+
+    def test_accepts_row_tuples_in_column_order(self):
+        monitors = [Monitor.density(floor=0).window(10).named("occ"),
+                    Monitor.visit_counts().window(10).named("pois")]
+        records = [rec("a", 1, 1, 0.0), rec("b", 2, 2, 1.0, partition="room")]
+        tuples = [record_row(record)[1] for record in records]
+        expected = run(monitors, records).to_json()
+        assert run(monitors, tuples).to_json() == expected
+        assert expected["monitors"]["pois"]["windows"][0]["value"] == [["hall", 1], ["room", 1]]
+
+    @pytest.mark.parametrize("bad", [
+        ("a", 0.0, "b", 0),                        # too few values
+        RSSIRecord("a", "ap1", -60.0, 0.0),        # another dataset's record
+        object(),                                  # not a record at all
+        {"object_id": "a", "floor_id": 0},         # no time
+    ])
+    def test_unusable_records_are_rejected(self, bad):
+        engine = LiveEngine([Monitor.density(floor=0)])
+        with pytest.raises(MonitorError):
+            engine.feed("trajectory", [bad])
 
 
 class TestSpatialPruning:

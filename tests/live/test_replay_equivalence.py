@@ -8,6 +8,7 @@ storage engines, and for any ``workers`` value.
 import pytest
 
 from repro.core.config import config_from_dict
+from repro.core.errors import MonitorError
 from repro.core.pipeline import VitaPipeline
 from repro.live import Monitor, replay
 from repro.storage.stream import DataStreamAPI
@@ -59,6 +60,11 @@ class TestAttachedVersusReplay:
         monitors = [mc.build() for mc in config.monitors]
         replayed = DataStreamAPI(result.warehouse).replay_monitors(monitors)
         assert replayed.results["occ"].values() == result.live.results["occ"].values()
+
+    def test_batch_size_must_be_positive(self, monitored_run):
+        config, result = monitored_run
+        with pytest.raises(MonitorError):
+            replay(result.warehouse, [mc.build() for mc in config.monitors], batch_size=0)
 
     def test_alert_multiset_matches_across_modes(self, monitored_run):
         config, result = monitored_run

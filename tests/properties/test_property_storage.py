@@ -1,10 +1,11 @@
 """Property-based tests for storage: index consistency and export round-trips."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.errors import StorageError
 from repro.core.types import IndoorLocation, RSSIRecord, TrajectoryRecord
+from repro.storage.backends import MemoryBackend, SQLiteBackend
 from repro.storage.backends.base import DATASETS
 from repro.storage.export import (
     export_rssi_csv,
@@ -189,6 +190,35 @@ class TestBatchInsertProperties:
         # Nothing of the rejected batch was remembered: its rows still go in.
         assert table.insert_many(fresh) == len(fresh)
         assert len(table) == len(rows)
+
+
+class TestKnnEngineEquivalence:
+    @settings(max_examples=60, deadline=None)
+    # Three samples of one object equally far (1.0) from t: both engines
+    # must snapshot the earliest one.
+    @example(
+        batches=[[("a", 2.0, "b", 0, "hall", 0.0, 0.0),
+                  ("a", 2.321420628379102e-245, "b", 0, "hall", 0.0, 0.0),
+                  ("a", 0.0, "b", 0, "hall", 0.0, 1.0)]],
+        floor=0, x=0.0, y=0.0, t=1.0, k=1, tolerance=1.0,
+    )
+    @given(
+        row_batches(),
+        st.integers(min_value=0, max_value=3),
+        st.floats(min_value=-10.0, max_value=110.0, allow_nan=False),
+        st.floats(min_value=-10.0, max_value=110.0, allow_nan=False),
+        timestamps,
+        st.integers(min_value=0, max_value=5),
+        st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
+    )
+    def test_memory_and_sqlite_knn_are_identical(self, batches, floor, x, y, t, k, tolerance):
+        answers = []
+        for backend in (MemoryBackend(), SQLiteBackend()):
+            for batch in batches:
+                backend.insert_rows("trajectory", batch)
+            answers.append(backend.knn(floor, x, y, t, k, tolerance))
+            backend.close()
+        assert answers[0] == answers[1]
 
 
 class TestExportRoundTripProperties:

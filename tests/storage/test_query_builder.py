@@ -20,6 +20,7 @@ from repro.core.types import (
 )
 from repro.geometry.polygon import BoundingBox
 from repro.storage.backends import MemoryBackend, SQLiteBackend
+from repro.storage.backends.base import dataset_spec
 from repro.storage.plan import Filter, QueryPlan
 from repro.storage.query import Query
 from repro.storage.repositories import DataWarehouse
@@ -154,6 +155,70 @@ class TestEngineEquivalence:
 
         run = EQUIVALENCE_QUERIES[name]
         assert run(DataStreamAPI(memory).query) == run(DataStreamAPI(sqlite).query)
+
+
+class TestKnnNearTie:
+    """Two objects whose distances to the query point differ in the last bit.
+
+    The squared distances are 171.61064296781265 (a) and 171.61064296781268
+    (b), but ``math.hypot`` ranks them the other way round, so an engine that
+    ranked by ``hypot`` answered ``b`` where SQLite answers ``a``.
+    """
+
+    def test_both_engines_answer_the_same_nearest_object(self, tmp_path):
+        records = [
+            TrajectoryRecord("a", _loc(20.31223259229413, 10.07559800490467), 5.0),
+            TrajectoryRecord("b", _loc(39.58389615524125, 21.73130933971452), 5.0),
+        ]
+        answers = []
+        for backend in (MemoryBackend(), SQLiteBackend(path=tmp_path / "tie.sqlite")):
+            warehouse = DataWarehouse(backend)
+            warehouse.trajectories.add_many(records)
+            query = warehouse.query("trajectory").on_floor(0)
+            answers.append(
+                [query.knn(33.4118695686196, 10.176365342366537, 5.0, k=k) for k in (1, 2)]
+            )
+            warehouse.close()
+        memory, sqlite = answers
+        assert memory == sqlite
+        assert [object_id for object_id, _ in memory[0]] == ["a"]
+
+
+class TestTuples:
+    """``tuples()`` streams the rows ``iter()`` does, as tuples in column order."""
+
+    QUERIES = {
+        "scan": lambda q: q("trajectory"),
+        "window-floor": lambda q: q("trajectory").during(2.0, 8.0).on_floor(0),
+        "region": lambda q: q("trajectory").on_floor(0).within((0.0, 0.0, 12.0, 21.0)),
+        "select-order-limit": lambda q: (
+            q("trajectory").select("t", "object_id").order_by("-t", "object_id").limit(5)
+        ),
+        "select-one-column": lambda q: q("rssi").select("device_id"),
+        "python-filter": lambda q: q("rssi").filter(lambda row: row["rssi"] < -58.0),
+        "python-filter-select-limit": lambda q: (
+            q("trajectory").filter(lambda row: row["x"] > 10.0).select("x", "t").limit(3)
+        ),
+        "no-time-dataset": lambda q: q("device"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(QUERIES))
+    def test_tuples_are_the_rows_in_column_order(self, warehouse, name):
+        query = self.QUERIES[name](warehouse.query)
+        rows = query.all()
+        plan = query.plan()
+        columns = plan.columns or dataset_spec(plan.dataset).columns
+        assert list(query.tuples()) == [tuple(row[c] for c in columns) for row in rows]
+        assert all(type(row) is tuple for row in query.tuples())
+
+    def test_tuples_is_lazy(self, warehouse):
+        iterator = warehouse.query("trajectory").during(0.0, 2.0).tuples()
+        assert next(iterator)[1] == 0.0
+
+    def test_explain_reports_the_iter_plan(self, warehouse):
+        query = warehouse.query("trajectory").during(0.0, 5.0).on_floor(0)
+        assert query.explain("tuples") == query.explain("iter")
+        assert query.profile("tuples")["rows"] == query.profile("iter")["rows"]
 
 
 class TestBuilderGrammar:
