@@ -1,9 +1,8 @@
-"""RSSI generation: path loss model, noise models, measurement controller."""
+"""RSSI generation: path loss model, noise models, measurement generator."""
 
 from repro.rssi.pathloss import MIN_TRANSMISSION_DISTANCE, PathLossModel, default_model_for
 from repro.rssi.noise import FluctuationNoiseModel, ObstacleNoiseModel
 from repro.rssi.measurement import RSSIGenerationConfig, RSSIGenerator
-from repro.rssi.controller import RSSIMeasurementController
 
 __all__ = [
     "MIN_TRANSMISSION_DISTANCE",
@@ -13,5 +12,4 @@ __all__ = [
     "ObstacleNoiseModel",
     "RSSIGenerationConfig",
     "RSSIGenerator",
-    "RSSIMeasurementController",
 ]

@@ -193,15 +193,6 @@ class SpatialService:
             flat[f"{name}_misses"] = stats.misses
         return flat
 
-    def record_metrics(self, registry) -> None:
-        """Publish :meth:`cache_stats` into an :class:`~repro.obs.MetricsRegistry`.
-
-        Gauges named ``spatial.cache.<counter>`` (point-in-time values, so a
-        repeated publish overwrites rather than double-counts).
-        """
-        for name, value in sorted(self.cache_stats().items()):
-            registry.gauge(f"spatial.cache.{name}").set(value)
-
     def reset_stats(self) -> None:
         for stats in self._stats.values():
             stats.reset()

@@ -1,6 +1,6 @@
 """Storage: pluggable backends, typed repositories, query builder, export."""
 
-from repro.storage.tables import Row, Table, TableSchema
+from repro.storage.tables import Table, TableSchema
 from repro.storage.backends import (
     BACKENDS,
     MemoryBackend,
@@ -8,7 +8,7 @@ from repro.storage.backends import (
     StorageBackend,
     backend_by_name,
 )
-from repro.storage.plan import Aggregate, Filter, PlanExecution, QueryPlan, Region
+from repro.storage.plan import Aggregate, Filter, PlanExecution, QueryPlan, Region, Row
 from repro.storage.query import Query, explain_plan, run_plan
 from repro.storage.repositories import (
     DataWarehouse,

@@ -12,29 +12,26 @@ can run unchanged on top of any engine:
   on-disk engine with WAL journalling, batched bulk inserts and composite +
   spatial grid-bucket indices (persistent, larger-than-RAM).
 
-Every dataset is described by a :class:`DatasetSpec`; rows read back are
-plain dictionaries with one key per column (or, through
-:meth:`~repro.storage.query.Query.tuples`, tuples in column order),
-identical across backends, so records serialise the same way everywhere.
-Rows written may also be tuples in ``DatasetSpec.columns`` order, the shape
-the generation write path produces once per record
-(:func:`~repro.storage.repositories.record_row`).
-The base class ships portable Python implementations of the higher-level
-query operators (snapshot, spatial range, kNN, aggregations) expressed in
-terms of the storage primitives; engines override them with native (e.g.
-SQL) implementations where profitable.
+Every dataset is described by a :class:`DatasetSpec`.  A row has one
+shape on both engines: a tuple in ``DatasetSpec.columns`` order, the shape
+the write path makes once per record
+(:func:`~repro.storage.repositories.record_row`), the shape the engines
+store and the shape every read hands to the query planner.  Reads have one
+path: the builder (:mod:`repro.storage.query`) compiles a
+:class:`~repro.storage.plan.QueryPlan`, the engine's :meth:`execute_plan`
+pushes down what it can, and the planner runs the rest in Python, so both
+engines return identical rows.  The dict terminals build row dicts at the
+edge.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import StorageError
-from repro.storage.plan import PlanExecution, QueryPlan, sorted_distinct
-
-Row = Dict[str, Any]
+from repro.storage.plan import PlanExecution, QueryPlan, Row
 
 #: Shared location column suffix used by every dataset that embeds a location.
 LOCATION_COLUMNS: Tuple[str, ...] = ("building_id", "floor_id", "partition_id", "x", "y")
@@ -168,11 +165,11 @@ def dataset_spec(name: str) -> DatasetSpec:
 
 
 class StorageBackend(abc.ABC):
-    """Contract between the repositories / Data Stream APIs and an engine.
+    """Contract between the repositories / query builder and an engine.
 
-    Primitives (abstract) cover insertion, scans, equality and time-range
-    lookups; the higher-level query operators have portable default
-    implementations that engines may override natively.
+    An engine stores row tuples (:meth:`insert_rows`), counts and clears a
+    dataset, reports a dataset's time bounds, and answers every read as a
+    :class:`~repro.storage.plan.QueryPlan` (:meth:`execute_plan`).
     """
 
     #: Registry name of the engine ("memory", "sqlite", ...).
@@ -201,49 +198,29 @@ class StorageBackend(abc.ABC):
             self._metrics.counter(f"storage.rows_inserted.{dataset}").inc(count)
 
     # ------------------------------------------------------------------ #
-    # Storage primitives
+    # The engine contract
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
-    def insert_rows(self, dataset: str, rows: List[Union[Row, Tuple]]) -> int:
-        """Bulk-append *rows*; returns the number inserted.
-
-        Each row is a tuple in ``DatasetSpec.columns`` order or a dict; a
-        tuple and the dict with the same values store the same row.
-        """
+    def insert_rows(self, dataset: str, rows: List[Tuple]) -> int:
+        """Bulk-append *rows*, tuples in ``DatasetSpec.columns`` order;
+        returns the number inserted (any other row shape raises
+        :class:`StorageError`)."""
 
     @abc.abstractmethod
     def count(self, dataset: str) -> int:
         """Number of rows stored in *dataset*."""
 
     @abc.abstractmethod
-    def all_rows(self, dataset: str) -> List[Row]:
-        """Every row of *dataset* in insertion order."""
+    def execute_plan(self, plan: QueryPlan) -> PlanExecution:
+        """Push down what this engine can run natively; leave the rest residual.
 
-    @abc.abstractmethod
-    def rows_eq(
-        self, dataset: str, column: str, value: Any, order_by: Optional[str] = None
-    ) -> List[Row]:
-        """Rows with ``row[column] == value`` (index-backed when possible).
-
-        With *order_by*, the result is sorted by that column — engines use
-        their composite ``(column, order_by)`` index where one exists.
+        The planner (:func:`repro.storage.query.run_plan`) streams the
+        engine's row tuples through the residual steps in Python.
         """
 
     @abc.abstractmethod
-    def rows_in_time_range(self, dataset: str, low: float, high: float) -> List[Row]:
-        """Rows whose time column lies in ``[low, high]``, ordered by time."""
-
-    @abc.abstractmethod
-    def iter_time_ordered(self, dataset: str) -> Iterator[Row]:
-        """Every row of *dataset*, ordered by its time column (single pass)."""
-
-    @abc.abstractmethod
-    def distinct(self, dataset: str, column: str) -> List[Any]:
-        """Distinct values of *column* (sorted when the values are sortable)."""
-
-    @abc.abstractmethod
-    def count_by(self, dataset: str, column: str) -> Dict[Any, int]:
-        """Row count per distinct value of *column*."""
+    def time_bounds(self, dataset: str) -> Optional[Tuple[float, float]]:
+        """``(min, max)`` of the dataset's time column, or ``None`` if empty."""
 
     @abc.abstractmethod
     def clear(self, dataset: str) -> None:
@@ -271,133 +248,6 @@ class StorageBackend(abc.ABC):
             "persistent": self.persistent,
             "datasets": {name: self.count(name) for name in DATASETS},
         }
-
-    # ------------------------------------------------------------------ #
-    # Logical-plan execution (capability negotiation with the planner)
-    # ------------------------------------------------------------------ #
-    def execute_plan(self, plan: QueryPlan) -> PlanExecution:
-        """Push down what this engine can run natively; leave the rest residual.
-
-        The portable default pushes the time window onto the
-        :meth:`rows_in_time_range` primitive and the bare aggregates onto
-        their primitives (:meth:`count`, :meth:`count_by`, :meth:`distinct`);
-        every other plan step is reported residual, and the planner
-        (:func:`repro.storage.query.run_plan`) streams it in Python.  Engines
-        override this with index- or SQL-backed strategies.
-        """
-        spec = dataset_spec(plan.dataset)
-        pushed: List[Tuple[str, str]] = []
-        time_ordered = False
-        if plan.time_range is not None and spec.time_column is not None:
-            low, high = plan.time_range
-            rows = lambda: iter(self.rows_in_time_range(plan.dataset, low, high))
-            pushed.append(("during", "rows_in_time_range primitive"))
-            time_ordered = True
-        else:
-            rows = lambda: iter(self.all_rows(plan.dataset))
-        residual_order = plan.order_by
-        if time_ordered and plan.order_by == ((spec.time_column, False),):
-            residual_order = ()
-            pushed.append(("order_by", f"time-ordered {spec.time_column} scan"))
-        execution = PlanExecution(
-            rows=rows,
-            pushed=pushed,
-            residual_filters=plan.filters,
-            residual_region=plan.region,
-            residual_order=residual_order,
-            needs_projection=plan.columns is not None,
-            needs_limit=plan.limit is not None or plan.offset > 0,
-        )
-        bare = not plan.filters and plan.region is None and plan.time_range is None
-        aggregate = plan.aggregate
-        if aggregate is not None and bare:
-            if aggregate.kind == "count":
-                execution.aggregate_thunk = lambda: self.count(plan.dataset)
-                pushed.append(("aggregate count(*)", "count primitive"))
-            elif aggregate.kind == "count_by":
-                execution.aggregate_thunk = lambda: self.count_by(plan.dataset, aggregate.by)
-                pushed.append((f"aggregate {aggregate.describe()}", "count_by primitive"))
-            elif aggregate.kind == "distinct":
-                execution.aggregate_thunk = lambda: sorted_distinct(
-                    self.distinct(plan.dataset, aggregate.column)
-                )
-                pushed.append((f"aggregate {aggregate.describe()}", "distinct primitive"))
-        return execution
-
-    # ------------------------------------------------------------------ #
-    # Query operators (portable defaults; engines override natively)
-    # ------------------------------------------------------------------ #
-    def time_bounds(self, dataset: str) -> Optional[Tuple[float, float]]:
-        """``(min, max)`` of the dataset's time column, or ``None`` if empty."""
-        spec = dataset_spec(dataset)
-        if spec.time_column is None:
-            raise StorageError(f"dataset {dataset!r} has no time column")
-        low = high = None
-        for row in self.iter_time_ordered(dataset):
-            value = row[spec.time_column]
-            if low is None:
-                low = value
-            high = value
-        if low is None:
-            return None
-        return (low, high)
-
-    def snapshot_rows(self, t: float, tolerance: float) -> Dict[str, Row]:
-        """Per object, the trajectory row closest in time to *t* within *tolerance*."""
-        best: Dict[str, Row] = {}
-        for row in self.rows_in_time_range("trajectory", t - tolerance, t + tolerance):
-            current = best.get(row["object_id"])
-            if current is None or abs(row["t"] - t) < abs(current["t"] - t):
-                best[row["object_id"]] = row
-        return best
-
-    def region_object_ids(
-        self,
-        floor_id: int,
-        min_x: float,
-        min_y: float,
-        max_x: float,
-        max_y: float,
-        t_start: float,
-        t_end: float,
-    ) -> List[str]:
-        """Objects with >= 1 trajectory sample inside the box during the window."""
-        found = set()
-        for row in self.rows_in_time_range("trajectory", t_start, t_end):
-            if row["floor_id"] != floor_id or row["x"] is None or row["y"] is None:
-                continue
-            if min_x <= row["x"] <= max_x and min_y <= row["y"] <= max_y:
-                found.add(row["object_id"])
-        return sorted(found)
-
-    def knn(
-        self, floor_id: int, x: float, y: float, t: float, k: int, tolerance: float
-    ) -> List[Tuple[str, float]]:
-        """The *k* objects closest to ``(x, y)`` on *floor_id* around time *t*.
-
-        Objects rank by the squared distance ``d2``, ties by object id, and
-        each distance is ``d2 ** 0.5``.  ``d2`` is computed with the same
-        operations in the same order as the SQLite engine's SQL, so both
-        engines rank a near-tie alike and return the same bits.
-        """
-        if k <= 0:
-            return []
-        scored = []
-        for object_id, row in self.snapshot_rows(t, tolerance).items():
-            if row["floor_id"] != floor_id or row["x"] is None or row["y"] is None:
-                continue
-            d2 = (row["x"] - x) * (row["x"] - x) + (row["y"] - y) * (row["y"] - y)
-            scored.append((d2, object_id))
-        scored.sort()
-        return [(object_id, d2 ** 0.5) for d2, object_id in scored[:k]]
-
-    def proximity_active_at(self, t: float) -> List[Row]:
-        """Proximity detection periods covering time *t*."""
-        return [
-            row
-            for row in self.all_rows("proximity")
-            if row["t_start"] <= t <= row["t_end"]
-        ]
 
 
 __all__ = [

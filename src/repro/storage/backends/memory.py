@@ -2,18 +2,19 @@
 
 This is the original storage layer of the reproduction, refactored behind the
 :class:`~repro.storage.backends.base.StorageBackend` interface: one indexed
-:class:`~repro.storage.tables.Table` per dataset, with hash indexes on the
-equality-queried columns and a sorted index on the time column.  Data lives
-for the duration of the process; the engine is the default because it needs
-no configuration and is fastest for small and medium runs.
+:class:`~repro.storage.tables.Table` per dataset, holding the row tuples it
+is given, with hash indexes on the equality-queried columns and a sorted
+index on the time column.  Data lives for the duration of the process; the
+engine is the default because it needs no configuration and is fastest for
+small and medium runs.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import StorageError
-from repro.storage.backends.base import DATASETS, Row, StorageBackend, dataset_spec
+from repro.storage.backends.base import DATASETS, StorageBackend, dataset_spec
 from repro.storage.plan import Filter, PlanExecution, QueryPlan, sorted_distinct
 from repro.storage.tables import Table, TableSchema
 
@@ -46,14 +47,15 @@ class MemoryBackend(StorageBackend):
         }
 
     def table_handle(self, dataset: str) -> Table:
-        """The underlying :class:`Table` (memory-engine escape hatch)."""
+        """The underlying :class:`Table` of row tuples (memory-engine escape
+        hatch: the stored rows as they are, in insertion order)."""
         dataset_spec(dataset)
         return self._tables[dataset]
 
     # ------------------------------------------------------------------ #
     # Storage primitives
     # ------------------------------------------------------------------ #
-    def insert_rows(self, dataset: str, rows: List[Union[Row, Tuple]]) -> int:
+    def insert_rows(self, dataset: str, rows: List[Tuple]) -> int:
         inserted = self.table_handle(dataset).insert_many(rows)
         self._observe_insert(dataset, inserted)
         return inserted
@@ -61,37 +63,10 @@ class MemoryBackend(StorageBackend):
     def count(self, dataset: str) -> int:
         return len(self.table_handle(dataset))
 
-    def all_rows(self, dataset: str) -> List[Row]:
-        return self.table_handle(dataset).all_rows()
-
-    def rows_eq(
-        self, dataset: str, column: str, value: Any, order_by: Optional[str] = None
-    ) -> List[Row]:
-        spec = dataset_spec(dataset)
-        if column not in spec.columns:
-            raise StorageError(f"dataset {dataset!r} has no column {column!r}")
-        if order_by is not None and order_by not in spec.columns:
-            raise StorageError(f"dataset {dataset!r} has no column {order_by!r}")
-        rows = self.table_handle(dataset).lookup(column, value)
-        if order_by is not None:
-            rows.sort(key=lambda row: row[order_by])
-        return rows
-
-    def rows_in_time_range(self, dataset: str, low: float, high: float) -> List[Row]:
+    def time_bounds(self, dataset: str) -> Optional[Tuple[float, float]]:
         if dataset_spec(dataset).time_column is None:
             raise StorageError(f"dataset {dataset!r} has no time column")
-        return self.table_handle(dataset).range(low, high)
-
-    def iter_time_ordered(self, dataset: str) -> Iterator[Row]:
-        if dataset_spec(dataset).time_column is None:
-            raise StorageError(f"dataset {dataset!r} has no time column")
-        return self.table_handle(dataset).iter_ordered()
-
-    def distinct(self, dataset: str, column: str) -> List[Any]:
-        return self.table_handle(dataset).distinct(column)
-
-    def count_by(self, dataset: str, column: str) -> Dict[Any, int]:
-        return self.table_handle(dataset).count_by(column)
+        return self.table_handle(dataset).ordered_bounds()
 
     def clear(self, dataset: str) -> None:
         self.table_handle(dataset).clear()
@@ -156,6 +131,7 @@ class MemoryBackend(StorageBackend):
 
         execution = PlanExecution(
             rows=rows,
+            columns=spec.columns,
             pushed=pushed,
             residual_filters=tuple(residual),
             residual_region=plan.region,
@@ -196,14 +172,6 @@ class MemoryBackend(StorageBackend):
             )
             pushed.append((f"aggregate {aggregate.describe()}", how))
         return execution
-
-    # ------------------------------------------------------------------ #
-    # Native query operators
-    # ------------------------------------------------------------------ #
-    def time_bounds(self, dataset: str):
-        if dataset_spec(dataset).time_column is None:
-            raise StorageError(f"dataset {dataset!r} has no time column")
-        return self.table_handle(dataset).ordered_bounds()
 
 
 __all__ = ["MemoryBackend"]

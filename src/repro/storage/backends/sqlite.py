@@ -24,10 +24,9 @@ coordinate — a spatial grid-bucket index on ``(floor_id, cell_x, cell_y)``
 where ``cell_* = floor(coordinate / cell_size)``, so spatial range queries
 prefilter on integer buckets before the exact geometric predicate runs.
 
-Reads get plain tuples from the cursor (the connection has no row factory):
-a plan's :attr:`~repro.storage.plan.PlanExecution.tuples` hands them over
-as they are, and every read that returns dicts builds each one with
-``dict(zip(columns, row))``.
+Every read is one compiled plan (:meth:`SQLiteBackend.execute_plan`).  The
+connection has no row factory, so its cursor yields plain tuples in the order
+of the ``SELECT`` list, and a plan hands them to the planner as they are.
 """
 
 from __future__ import annotations
@@ -36,14 +35,13 @@ import sqlite3
 from itertools import repeat
 from operator import floordiv
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import StorageError
 from repro.storage.backends.base import (
     DATASETS,
     INT_COLUMNS as _INT_COLUMNS,
     REAL_COLUMNS as _REAL_COLUMNS,
-    Row,
     StorageBackend,
     coerce_value as _coerce,
     column_coercer,
@@ -71,11 +69,6 @@ def _column_type(column: str) -> str:
     if column in _INT_COLUMNS:
         return "INTEGER"
     return "TEXT"
-
-
-def _dicts(columns: Sequence[str], rows: Iterable[Tuple]) -> Iterator[Row]:
-    """Row tuples in *columns* order as row dicts (lazily, one per row)."""
-    return map(dict, map(zip, repeat(columns), rows))
 
 
 class SQLiteBackend(StorageBackend):
@@ -232,23 +225,22 @@ class SQLiteBackend(StorageBackend):
     # ------------------------------------------------------------------ #
     # Write path (buffered executemany batches)
     # ------------------------------------------------------------------ #
-    def insert_rows(self, dataset: str, rows: List[Union[Row, Tuple]]) -> int:
+    def insert_rows(self, dataset: str, rows: List[Tuple]) -> int:
         """Coerce *rows* column by column and queue them for the next drain.
 
-        Each row is a tuple in column order or a dict (a missing key stores
-        NULL).  The whole call is coerced before any row is queued, so a bad
-        value raises :class:`StorageError` and queues nothing.
+        The whole call is checked and coerced before any row is queued, so a
+        row that is not a tuple of the dataset's width, or a bad value,
+        raises :class:`StorageError` and queues nothing.
         """
         spec = dataset_spec(dataset)
         columns = spec.columns
-        batch = [row if type(row) is tuple else tuple(map(row.get, columns)) for row in rows]
+        batch = list(rows)
         if not batch:
             return 0
-        widths = set(map(len, batch))
-        if widths != {len(columns)}:
+        if set(map(type, batch)) != {tuple} or set(map(len, batch)) != {len(columns)}:
             raise StorageError(
-                f"dataset {dataset!r}: a row tuple needs {len(columns)} values "
-                f"({', '.join(columns)}), got {sorted(widths - {len(columns)})}"
+                f"dataset {dataset!r}: a row is a tuple of {len(columns)} values "
+                f"in column order ({', '.join(columns)})"
             )
         # By position: a column whose values all have its type already (the
         # generation path's rows) stays as it is; any other is coerced whole.
@@ -335,85 +327,29 @@ class SQLiteBackend(StorageBackend):
     # ------------------------------------------------------------------ #
     # Read path
     # ------------------------------------------------------------------ #
-    def _select(self, dataset: str, suffix: str = "", params: Tuple = ()) -> List[Row]:
-        columns = dataset_spec(dataset).columns
-        self._drain(dataset)
-        cursor = self._connection.execute(
-            f"SELECT {', '.join(columns)} FROM {dataset} {suffix}", params
-        )
-        return list(_dicts(columns, cursor))
-
     def count(self, dataset: str) -> int:
         dataset_spec(dataset)
         self._drain(dataset)
         (total,) = self._connection.execute(f"SELECT COUNT(*) FROM {dataset}").fetchone()
         return int(total)
 
-    def all_rows(self, dataset: str) -> List[Row]:
-        return self._select(dataset, "ORDER BY rowid")
-
-    def rows_eq(
-        self, dataset: str, column: str, value: Any, order_by: Optional[str] = None
-    ) -> List[Row]:
-        spec = dataset_spec(dataset)
-        if column not in spec.columns:
-            raise StorageError(f"dataset {dataset!r} has no column {column!r}")
-        if order_by is not None and order_by not in spec.columns:
-            raise StorageError(f"dataset {dataset!r} has no column {order_by!r}")
-        ordering = f"{order_by}, rowid" if order_by is not None else "rowid"
-        return self._select(
-            dataset, f"WHERE {column} = ? ORDER BY {ordering}", (_coerce(column, value),)
-        )
-
-    def rows_in_time_range(self, dataset: str, low: float, high: float) -> List[Row]:
-        time_column = self._time_column(dataset)
-        return self._select(
-            dataset,
-            f"WHERE {time_column} BETWEEN ? AND ? ORDER BY {time_column}, rowid",
-            (float(low), float(high)),
-        )
-
-    def iter_time_ordered(self, dataset: str) -> Iterator[Row]:
-        time_column = self._time_column(dataset)
-        columns = dataset_spec(dataset).columns
+    def time_bounds(self, dataset: str) -> Optional[Tuple[float, float]]:
+        time_column = dataset_spec(dataset).time_column
+        if time_column is None:
+            raise StorageError(f"dataset {dataset!r} has no time column")
         self._drain(dataset)
-        cursor = self._connection.execute(
-            f"SELECT {', '.join(columns)} FROM {dataset} "
-            f"ORDER BY {time_column}, rowid"
-        )
-        return _dicts(columns, cursor)
-
-    def distinct(self, dataset: str, column: str) -> List[Any]:
-        spec = dataset_spec(dataset)
-        if column not in spec.columns:
-            raise StorageError(f"dataset {dataset!r} has no column {column!r}")
-        self._drain(dataset)
-        cursor = self._connection.execute(
-            f"SELECT DISTINCT {column} FROM {dataset} ORDER BY {column}"
-        )
-        return [row[0] for row in cursor.fetchall()]
-
-    def count_by(self, dataset: str, column: str) -> Dict[Any, int]:
-        spec = dataset_spec(dataset)
-        if column not in spec.columns:
-            raise StorageError(f"dataset {dataset!r} has no column {column!r}")
-        self._drain(dataset)
-        cursor = self._connection.execute(
-            f"SELECT {column}, COUNT(*) FROM {dataset} GROUP BY {column}"
-        )
-        return {row[0]: int(row[1]) for row in cursor.fetchall()}
+        low, high = self._connection.execute(
+            f"SELECT MIN({time_column}), MAX({time_column}) FROM {dataset}"
+        ).fetchone()
+        if low is None:
+            return None
+        return (low, high)
 
     def clear(self, dataset: str) -> None:
         dataset_spec(dataset)
         self._pending[dataset].clear()
         self._connection.execute(f"DELETE FROM {dataset}")
         self._connection.commit()
-
-    def _time_column(self, dataset: str) -> str:
-        spec = dataset_spec(dataset)
-        if spec.time_column is None:
-            raise StorageError(f"dataset {dataset!r} has no time column")
-        return spec.time_column
 
     # ------------------------------------------------------------------ #
     # Logical-plan execution (compilation to parameterized SQL)
@@ -530,8 +466,7 @@ class SQLiteBackend(StorageBackend):
         where_sql = f" WHERE {' AND '.join(where)}" if where else ""
         fully_filtered = not residual
 
-        order_sql = ""
-        residual_order: Tuple[Tuple[str, bool], ...] = ()
+        order_sql = " ORDER BY rowid"  # deterministic insertion order
         if plan.order_by:
             terms = ", ".join(
                 f"{column} {'DESC' if descending else 'ASC'}"
@@ -551,11 +486,8 @@ class SQLiteBackend(StorageBackend):
                 self._drain(plan.dataset)
                 return finish(self._connection.execute(sql, bound))
 
-            return PlanExecution(
-                rows=lambda: iter(()),
-                pushed=pushed,
-                aggregate_thunk=aggregate_thunk,
-            )
+            return PlanExecution(rows=lambda: iter(()), pushed=pushed,
+                                 aggregate_thunk=aggregate_thunk)
 
         if fully_filtered and plan.columns is not None:
             columns = plan.columns
@@ -571,9 +503,6 @@ class SQLiteBackend(StorageBackend):
             pushed.append(("limit", f"SQL LIMIT {limit} OFFSET {plan.offset}"))
             needs_limit = False
 
-        if not order_sql and not plan.order_by:
-            order_sql = " ORDER BY rowid"  # deterministic insertion order
-
         sql = (
             f"SELECT {', '.join(columns)} FROM {plan.dataset}"
             f"{where_sql}{order_sql}{limit_sql}"
@@ -581,18 +510,17 @@ class SQLiteBackend(StorageBackend):
         pushed.append(("sql", sql))
         bound = tuple(params)
 
-        def tuples() -> Iterator[Tuple]:
+        def rows() -> Iterator[Tuple]:
             self._drain(plan.dataset)
             return self._connection.execute(sql, bound)
 
         return PlanExecution(
-            rows=lambda: _dicts(columns, tuples()),
+            rows=rows,
+            columns=columns,
             pushed=pushed,
             residual_filters=tuple(residual),
-            residual_order=residual_order,
             needs_projection=not fully_filtered and plan.columns is not None,
             needs_limit=needs_limit,
-            tuples=tuples,
         )
 
     def _aggregate_sql(self, dataset: str, aggregate, where_sql: str):
@@ -644,120 +572,6 @@ class SQLiteBackend(StorageBackend):
             f"GROUP BY {aggregate.by}"
         )
         return sql, lambda cursor: {row[0]: to_stats(row[1:]) for row in cursor.fetchall()}
-
-    # ------------------------------------------------------------------ #
-    # Native query operators (index-backed SQL)
-    # ------------------------------------------------------------------ #
-    def time_bounds(self, dataset: str) -> Optional[Tuple[float, float]]:
-        time_column = self._time_column(dataset)
-        self._drain(dataset)
-        low, high = self._connection.execute(
-            f"SELECT MIN({time_column}), MAX({time_column}) FROM {dataset}"
-        ).fetchone()
-        if low is None:
-            return None
-        return (low, high)
-
-    def snapshot_rows(self, t: float, tolerance: float) -> Dict[str, Row]:
-        # Of two samples equally far from t, the earlier one wins (then the
-        # earlier row), as in the memory engine's time-ordered scan; knn()
-        # ranks the same samples.
-        columns = dataset_spec("trajectory").columns
-        self._drain("trajectory")
-        selected = ", ".join(columns)
-        cursor = self._connection.execute(
-            f"""
-            WITH windowed AS (
-                SELECT {selected},
-                       ROW_NUMBER() OVER (
-                           PARTITION BY object_id ORDER BY ABS(t - ?), t, rowid
-                       ) AS rank
-                FROM trajectory WHERE t BETWEEN ? AND ?
-            )
-            SELECT {selected} FROM windowed WHERE rank = 1
-            """,
-            (float(t), float(t) - float(tolerance), float(t) + float(tolerance)),
-        )
-        return {row["object_id"]: row for row in _dicts(columns, cursor.fetchall())}
-
-    def region_object_ids(
-        self,
-        floor_id: int,
-        min_x: float,
-        min_y: float,
-        max_x: float,
-        max_y: float,
-        t_start: float,
-        t_end: float,
-    ) -> List[str]:
-        self._drain("trajectory")
-        cursor = self._connection.execute(
-            """
-            SELECT DISTINCT object_id FROM trajectory
-            WHERE floor_id = ?
-              AND cell_x BETWEEN ? AND ?
-              AND cell_y BETWEEN ? AND ?
-              AND x BETWEEN ? AND ?
-              AND y BETWEEN ? AND ?
-              AND t BETWEEN ? AND ?
-            ORDER BY object_id
-            """,
-            (
-                int(floor_id),
-                int(float(min_x) // self.cell_size),
-                int(float(max_x) // self.cell_size),
-                int(float(min_y) // self.cell_size),
-                int(float(max_y) // self.cell_size),
-                float(min_x),
-                float(max_x),
-                float(min_y),
-                float(max_y),
-                float(t_start),
-                float(t_end),
-            ),
-        )
-        return [row[0] for row in cursor.fetchall()]
-
-    def knn(
-        self, floor_id: int, x: float, y: float, t: float, k: int, tolerance: float
-    ) -> List[Tuple[str, float]]:
-        if k <= 0:
-            return []
-        self._drain("trajectory")
-        cursor = self._connection.execute(
-            """
-            WITH windowed AS (
-                SELECT object_id, floor_id, x, y,
-                       ROW_NUMBER() OVER (
-                           PARTITION BY object_id ORDER BY ABS(t - ?), t, rowid
-                       ) AS rank
-                FROM trajectory WHERE t BETWEEN ? AND ?
-            )
-            SELECT object_id, (x - ?) * (x - ?) + (y - ?) * (y - ?) AS d2
-            FROM windowed
-            WHERE rank = 1 AND floor_id = ? AND x IS NOT NULL AND y IS NOT NULL
-            ORDER BY d2, object_id LIMIT ?
-            """,
-            (
-                float(t),
-                float(t) - float(tolerance),
-                float(t) + float(tolerance),
-                float(x),
-                float(x),
-                float(y),
-                float(y),
-                int(floor_id),
-                int(k),
-            ),
-        )
-        return [(row[0], float(row[1]) ** 0.5) for row in cursor.fetchall()]
-
-    def proximity_active_at(self, t: float) -> List[Row]:
-        return self._select(
-            "proximity",
-            "WHERE t_start <= ? AND t_end >= ? ORDER BY rowid",
-            (float(t), float(t)),
-        )
 
     def describe(self) -> Dict[str, Any]:
         info = super().describe()

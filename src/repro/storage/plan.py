@@ -7,11 +7,10 @@ The composable query layer splits a query into three stages:
 2. the storage engine inspects the plan and *pushes down* whatever it can
    execute natively — parameterized SQL on SQLite, the hash/time indices on
    the memory engine — returning a :class:`PlanExecution` that pairs a lazy
-   row source (dicts, and the engine's own tuples where it has them) with a
-   record of what was pushed and what remains;
-3. the planner (:func:`repro.storage.query.execute_plan`) applies the
+   source of row tuples with a record of what was pushed and what remains;
+3. the planner (:func:`repro.storage.query.run_plan`) applies the
    *residual* steps (un-pushed filters, ordering, projection, limits,
-   aggregation) as a streaming Python fallback.
+   aggregation) as a streaming Python fallback over those tuples.
 
 Everything in this module is engine-independent: plain dataclasses plus the
 portable Python evaluators the fallback path uses.  Keeping the datatypes
@@ -22,10 +21,12 @@ import them without a circular dependency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.errors import StorageError
 
+#: A result row as the builder's dict terminals return it.
 Row = Dict[str, Any]
 
 #: Comparison operators a :class:`Filter` may carry.  ``python`` marks an
@@ -172,18 +173,21 @@ class QueryPlan:
 
 @dataclass
 class PlanExecution:
-    """What an engine hands back for one plan: a lazy row source plus a
-    faithful record of the work it took on versus the work it left over.
+    """What an engine hands back for one plan: a lazy source of row tuples
+    plus a faithful record of the work it took on versus the work it left
+    over.
 
     ``rows`` and ``aggregate_thunk`` are zero-argument thunks so that
     ``explain()`` can inspect the push-down decision without touching any
-    data.  The residual fields name exactly the steps the planner must still
-    run in Python; each ``pushed`` entry is a ``(step, how)`` pair naming a
-    plan step and the native mechanism that executed it (index, SQL
-    clause, ...).
+    data.  The rows are tuples in ``columns`` order: ``select()``'s columns
+    when the engine pushed the projection, else the dataset's.  The residual
+    fields name exactly the steps the planner must still run in Python; each
+    ``pushed`` entry is a ``(step, how)`` pair naming a plan step and the
+    native mechanism that executed it (index, SQL clause, ...).
     """
 
-    rows: Callable[[], Iterator[Row]]
+    rows: Callable[[], Iterator[Tuple]]
+    columns: Tuple[str, ...] = ()
     pushed: List[Tuple[str, str]] = field(default_factory=list)
     residual_filters: Tuple[Filter, ...] = ()
     residual_region: Optional[Region] = None
@@ -193,10 +197,6 @@ class PlanExecution:
     #: Engine-native aggregate execution; ``None`` when the aggregate (if
     #: any) is left to the portable fallback.
     aggregate_thunk: Optional[Callable[[], Any]] = None
-    #: The rows of ``rows`` as the engine produces them natively: tuples in
-    #: the plan's column order (``select()``'s, else the dataset's).
-    #: ``None`` when the engine's own rows are dicts.
-    tuples: Optional[Callable[[], Iterator[Tuple]]] = None
 
     def residual_steps(self) -> List[str]:
         """Human-readable names of the Python-fallback steps."""
@@ -213,73 +213,88 @@ class PlanExecution:
 
 
 # --------------------------------------------------------------------------- #
-# Portable evaluators used by the streaming Python fallback
+# Portable evaluators used by the streaming Python fallback.  They read row
+# tuples by column position, looked up once per plan.
 # --------------------------------------------------------------------------- #
 def apply_filters(
-    rows: Iterable[Row], filters: Tuple[Filter, ...], region: Optional[Region] = None
-) -> Iterator[Row]:
-    """Stream *rows* through the residual predicates."""
-    for row in rows:
-        if region is not None and not region.matches(row):
-            continue
-        if all(f.matches(row) for f in filters):
-            yield row
+    rows: Iterable[Tuple],
+    columns: Tuple[str, ...],
+    filters: Tuple[Filter, ...],
+    region: Optional[Region] = None,
+) -> Iterator[Tuple]:
+    """Stream row tuples in *columns* order through the residual predicates.
+
+    The region and the column filters run first, then callable predicates,
+    as on SQLite, where only the callables stay residual.  A callable gets a
+    fresh ``dict(zip(columns, row))``, built only for the rows that reach it.
+    """
+    position = {column: index for index, column in enumerate(columns)}
+    tests: List[Callable[[Tuple], bool]] = []
+    if region is not None:
+        x, y, contains = position["x"], position["y"], region.contains
+        tests.append(lambda row: contains(row[x], row[y]))
+    for f in sorted(filters, key=lambda f: f.op == "python"):
+        if f.op == "python":
+            tests.append(lambda row, test=f.value: bool(test(dict(zip(columns, row)))))
+        else:
+            tests.append(lambda row, at=position[f.column], test=f.matches_cell: test(row[at]))
+    if not tests:
+        return iter(rows)
+    if len(tests) == 1:
+        return filter(tests[0], rows)
+    return filter(lambda row: all(test(row) for test in tests), rows)
 
 
-def _sort_key(column: str) -> Callable[[Row], Tuple[bool, Any]]:
-    # None sorts before any value, mirroring SQLite's NULLS-first default.
-    return lambda row: ((cell := row.get(column)) is not None, cell)
-
-
-def apply_order(rows: Iterable[Row], order_by: Tuple[Tuple[str, bool], ...]) -> List[Row]:
+def apply_order(
+    rows: Iterable[Tuple], columns: Tuple[str, ...], order_by: Tuple[Tuple[str, bool], ...]
+) -> List[Tuple]:
     """Stable multi-key sort (applied right-to-left, like SQL ORDER BY)."""
     ordered = list(rows)
     for column, descending in reversed(order_by):
-        ordered.sort(key=_sort_key(column), reverse=descending)
+        at = columns.index(column)
+        # None sorts before any value, mirroring SQLite's NULLS-first default.
+        ordered.sort(key=lambda row: ((cell := row[at]) is not None, cell), reverse=descending)
     return ordered
 
 
-def apply_window(rows: Iterable[Row], offset: int, limit: Optional[int]) -> Iterator[Row]:
-    """Stream the ``[offset, offset + limit)`` slice of *rows*."""
-    for index, row in enumerate(rows):
-        if index < offset:
-            continue
-        if limit is not None and index >= offset + limit:
-            return
-        yield row
+def apply_projection(
+    rows: Iterable[Tuple], columns: Tuple[str, ...], selected: Tuple[str, ...]
+) -> Iterator[Tuple]:
+    """Stream row tuples in *columns* order as tuples of their *selected* values."""
+    positions = [columns.index(column) for column in selected]
+    if len(positions) == 1:  # itemgetter of one key returns the bare value
+        at = positions[0]
+        return map(lambda row: (row[at],), rows)
+    return map(itemgetter(*positions), rows)
 
 
-def apply_projection(rows: Iterable[Row], columns: Tuple[str, ...]) -> Iterator[Row]:
-    for row in rows:
-        yield {column: row.get(column) for column in columns}
-
-
-def compute_aggregate(rows: Iterable[Row], aggregate: Aggregate) -> Any:
+def compute_aggregate(rows: Iterable[Tuple], columns: Tuple[str, ...], aggregate: Aggregate) -> Any:
     """The portable fallback for every aggregate kind."""
     if aggregate.kind == "count":
         return sum(1 for _ in rows)
+    value = itemgetter(columns.index(aggregate.column)) if aggregate.column is not None else None
+    group = itemgetter(columns.index(aggregate.by)) if aggregate.by is not None else None
     if aggregate.kind == "count_by":
         counts: Dict[Any, int] = {}
-        for row in rows:
-            key = row.get(aggregate.by)
+        for key in map(group, rows):
             counts[key] = counts.get(key, 0) + 1
         return counts
     if aggregate.kind == "count_distinct_by":
         groups: Dict[Any, set] = {}
         for row in rows:
-            values = groups.setdefault(row.get(aggregate.by), set())
-            value = row.get(aggregate.column)
-            if value is not None:  # COUNT(DISTINCT col) ignores NULLs in SQL
-                values.add(value)
+            values = groups.setdefault(group(row), set())
+            cell = value(row)
+            if cell is not None:  # COUNT(DISTINCT col) ignores NULLs in SQL
+                values.add(cell)
         return {key: len(values) for key, values in groups.items()}
     if aggregate.kind == "distinct":
-        return sorted_distinct(row.get(aggregate.column) for row in rows)
+        return sorted_distinct(map(value, rows))
     if aggregate.kind == "stats":
-        if aggregate.by is None:
-            return _stats([row.get(aggregate.column) for row in rows])
+        if group is None:
+            return _stats(list(map(value, rows)))
         grouped: Dict[Any, List[float]] = {}
         for row in rows:
-            grouped.setdefault(row.get(aggregate.by), []).append(row.get(aggregate.column))
+            grouped.setdefault(group(row), []).append(value(row))
         return {key: _stats(values) for key, values in grouped.items()}
     raise StorageError(f"unknown aggregate kind {aggregate.kind!r}")
 
@@ -315,7 +330,6 @@ __all__ = [
     "PlanExecution",
     "apply_filters",
     "apply_order",
-    "apply_window",
     "apply_projection",
     "compute_aggregate",
     "sorted_distinct",

@@ -21,17 +21,19 @@ builder, and nothing touches the storage engine until a terminal verb runs
 a :class:`~repro.storage.plan.QueryPlan` and hands it to the engine, which
 pushes down whatever it can execute natively — parameterized SQL on SQLite,
 the hash/time indices on the memory engine.  The planner then streams the
-engine's rows through the *residual* steps in Python, so every query returns
-identical results on every engine, differing only in how much work the engine
-absorbed.  :meth:`Query.explain` reports that split without reading any data.
-Rows come back as dicts, except from :meth:`Query.tuples`, which streams the
-same rows as tuples in column order for bulk consumers such as replay.
+engine's row tuples through the *residual* steps in Python, so every query
+returns identical results on every engine, differing only in how much work
+the engine absorbed.  :meth:`Query.explain` reports that split without
+reading any data.  Every read runs this one pipeline over row tuples: the
+dict terminals build a fresh dict per row at the edge, and
+:meth:`Query.tuples` streams the tuples themselves for bulk consumers such as
+replay.
 """
 
 from __future__ import annotations
 
 import time
-from operator import itemgetter
+from itertools import islice, repeat
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.errors import StorageError
@@ -39,13 +41,13 @@ from repro.storage.backends.base import StorageBackend, coerce_value, dataset_sp
 from repro.storage.plan import (
     Aggregate,
     Filter,
+    PlanExecution,
     QueryPlan,
     Region,
     Row,
     apply_filters,
     apply_order,
     apply_projection,
-    apply_window,
     compute_aggregate,
 )
 
@@ -62,49 +64,47 @@ _WHERE_OPS = {
 def run_plan(backend: StorageBackend, plan: QueryPlan) -> Any:
     """Execute *plan* on *backend*: push down, then stream the residual steps.
 
-    Returns an iterator of rows for row plans, or the computed value for
+    Returns an iterator of row dicts for row plans, or the computed value for
     aggregate plans.
     """
-    execution = backend.execute_plan(plan)
     if plan.aggregate is not None:
+        execution = backend.execute_plan(plan)
         if execution.aggregate_thunk is not None:
             return execution.aggregate_thunk()
-        rows = apply_filters(
-            execution.rows(), execution.residual_filters, execution.residual_region
-        )
-        return compute_aggregate(rows, plan.aggregate)
-    return _residual_rows(execution.rows(), execution, plan)
+        return _fallback_aggregate(execution, plan, execution.rows())
+    columns, rows = _run_rows(backend, plan)
+    return map(dict, map(zip, repeat(columns), rows))
 
 
-def _run_plan_tuples(backend: StorageBackend, plan: QueryPlan) -> Iterator[Tuple]:
-    """Execute row plan *plan* on *backend*, streaming each row as a tuple.
-
-    The tuple holds the row's values in column order: the plan's projected
-    columns, else the dataset's.  The push-down is :func:`run_plan`'s; when
-    nothing is left residual, the engine's own tuples (SQLite's cursor) are
-    handed over without a dict per row, and otherwise the residual steps run
-    on row dicts as always and each resulting row becomes its tuple.
-    """
+def _run_rows(backend: StorageBackend, plan: QueryPlan) -> Tuple[Tuple[str, ...], Iterator[Tuple]]:
+    """Execute row plan *plan* on *backend*: the result's column order, and
+    its rows as tuples in that order (the one pipeline every row read runs)."""
     execution = backend.execute_plan(plan)
-    if execution.tuples is not None and not execution.residual_steps():
-        return execution.tuples()
-    columns = plan.columns or dataset_spec(plan.dataset).columns
-    # itemgetter of a single key returns the bare value, not a 1-tuple.
-    as_tuple = itemgetter(*columns) if len(columns) > 1 else lambda row: (row[columns[0]],)
-    return map(as_tuple, _residual_rows(execution.rows(), execution, plan))
+    return _residual(execution, plan, execution.rows())
 
 
-def _residual_rows(rows: Iterator[Row], execution, plan: QueryPlan) -> Iterator[Row]:
-    """Stream the engine's *rows* through the residual steps of *execution*."""
-    if execution.residual_filters or execution.residual_region is not None:
-        rows = apply_filters(rows, execution.residual_filters, execution.residual_region)
+def _residual(
+    execution: PlanExecution, plan: QueryPlan, rows: Iterator[Tuple]
+) -> Tuple[Tuple[str, ...], Iterator[Tuple]]:
+    """Stream the engine's row tuples through the residual steps of *execution*."""
+    columns = execution.columns
+    rows = apply_filters(rows, columns, execution.residual_filters, execution.residual_region)
     if execution.residual_order:
-        rows = iter(apply_order(rows, execution.residual_order))
+        rows = iter(apply_order(rows, columns, execution.residual_order))
     if execution.needs_limit and (plan.limit is not None or plan.offset):
-        rows = apply_window(rows, plan.offset, plan.limit)
+        stop = None if plan.limit is None else plan.offset + plan.limit
+        rows = islice(rows, plan.offset, stop)
     if execution.needs_projection and plan.columns is not None:
-        rows = apply_projection(rows, plan.columns)
-    return rows
+        rows = apply_projection(rows, columns, plan.columns)
+        columns = plan.columns
+    return columns, rows
+
+
+def _fallback_aggregate(execution: PlanExecution, plan: QueryPlan, rows: Iterator[Tuple]) -> Any:
+    """The aggregate of *plan* over the engine's rows, in Python."""
+    columns = execution.columns
+    rows = apply_filters(rows, columns, execution.residual_filters, execution.residual_region)
+    return compute_aggregate(rows, columns, plan.aggregate)
 
 
 def explain_plan(backend: StorageBackend, plan: QueryPlan) -> Dict[str, Any]:
@@ -143,10 +143,11 @@ def profile_plan(backend: StorageBackend, plan: QueryPlan) -> Dict[str, Any]:
     wall time (the engine compiles one statement per plan, so the backend
     stage *is* the statement timing).
 
-    A measurement run, not a lazy one: the engine's rows are materialised to
-    separate engine time from residual time, so profile a representative
-    query, not an unbounded scan.  Results are identical to :func:`run_plan`
-    — the same execution pipeline runs, with counting in between.
+    A measurement run, not a lazy one: the engine's row tuples are
+    materialised to separate engine time from residual time, so profile a
+    representative query, not an unbounded scan.  Results are identical to
+    :func:`run_plan` — the same execution pipeline runs, with counting in
+    between, and no row dict is built except for a callable predicate.
     """
     total_start = time.perf_counter()
     execution = backend.execute_plan(plan)
@@ -171,13 +172,10 @@ def profile_plan(backend: StorageBackend, plan: QueryPlan) -> Dict[str, Any]:
         rows_scanned = len(scanned)
         residual_start = time.perf_counter()
         if plan.aggregate is not None:
-            rows = apply_filters(
-                iter(scanned), execution.residual_filters, execution.residual_region
-            )
-            value = compute_aggregate(rows, plan.aggregate)
+            value = _fallback_aggregate(execution, plan, iter(scanned))
             result = {"kind": "aggregate", "value": value}
         else:
-            rows_returned = sum(1 for _ in _residual_rows(iter(scanned), execution, plan))
+            rows_returned = sum(1 for _ in _residual(execution, plan, iter(scanned))[1])
             result = {"kind": "rows", "count": rows_returned}
         residual_seconds = time.perf_counter() - residual_start
 
@@ -412,7 +410,7 @@ class Query:
     # Terminal verbs
     # ------------------------------------------------------------------ #
     def iter(self) -> Iterator[Row]:
-        """Stream the result rows (lazy on engines that support it)."""
+        """Stream the result rows as fresh dicts (lazy on both engines)."""
         return run_plan(self._backend, self.plan("iter"))
 
     __iter__ = iter
@@ -421,12 +419,11 @@ class Query:
         """Stream the result rows as tuples, in column order.
 
         The order is the ``select()`` columns', else the dataset's
-        ``DatasetSpec.columns``.  Same plan, push-down and rows as
-        :meth:`iter`, without a dict per row where the engine can avoid it:
-        SQLite hands over its cursor's tuples, and the memory engine's stored
-        rows go through one ``itemgetter``.
+        ``DatasetSpec.columns``.  Same plan, push-down, pipeline and rows as
+        :meth:`iter`, without the dict per row that :meth:`iter` builds at
+        the edge.
         """
-        return _run_plan_tuples(self._backend, self.plan("tuples"))
+        return _run_rows(self._backend, self.plan("tuples"))[1]
 
     def all(self) -> List[Row]:
         """Every result row, as plain dictionaries."""
@@ -470,18 +467,26 @@ class Query:
             ),
         )
 
-    # Specialised trajectory terminals (native operators; the paper's
-    # snapshot and kNN query-processing algorithms).
+    # Specialised trajectory terminals (the paper's snapshot and kNN query
+    # processing algorithms), composed from one pushed time-window scan.
     def snapshot(self, t: float, tolerance: float = 1.0) -> Dict[str, Row]:
         """Per object, the trajectory row closest in time to *t* (± *tolerance*)."""
         self._require_bare("snapshot", allow_floor=False)
-        return self._backend.snapshot_rows(float(t), float(tolerance))
+        columns = self._spec.columns
+        return {
+            object_id: dict(zip(columns, row))
+            for object_id, row in self._closest_samples(float(t), float(tolerance)).items()
+        }
 
     def knn(self, x: float, y: float, t: float, k: int = 5,
             tolerance: float = 1.0) -> List[Tuple[str, float]]:
         """The *k* objects closest to ``(x, y)`` around time *t*.
 
-        The floor comes from a preceding :meth:`on_floor` call.
+        The floor comes from a preceding :meth:`on_floor` call.  Each object
+        is placed at its :meth:`snapshot` sample, and only then is the floor
+        tested.  Objects rank by the squared distance
+        ``d2 = (x' - x) * (x' - x) + (y' - y) * (y' - y)``, ties by object id,
+        and each distance is ``d2 ** 0.5``.
         """
         floor_filters = [
             f for f in self._plan.filters if f.column == "floor_id" and f.op == "=="
@@ -489,9 +494,38 @@ class Query:
         if len(floor_filters) != 1:
             raise StorageError("knn() needs exactly one on_floor() restriction")
         self._require_bare("knn", allow_floor=True)
-        return self._backend.knn(
-            int(floor_filters[0].value), float(x), float(y), float(t), int(k), float(tolerance)
-        )
+        if k <= 0:
+            return []
+        floor_id, x, y = int(floor_filters[0].value), float(x), float(y)
+        at_floor, at_x, at_y = map(self._spec.columns.index, ("floor_id", "x", "y"))
+        scored = []
+        for object_id, row in self._closest_samples(float(t), float(tolerance)).items():
+            px, py = row[at_x], row[at_y]
+            if row[at_floor] != floor_id or px is None or py is None:
+                continue
+            scored.append(((px - x) * (px - x) + (py - y) * (py - y), object_id))
+        scored.sort()
+        return [(object_id, d2 ** 0.5) for d2, object_id in scored[:int(k)]]
+
+    def _closest_samples(self, t: float, tolerance: float) -> Dict[str, Tuple]:
+        """Per object, the trajectory row tuple closest in time to *t* within
+        *tolerance*.
+
+        One time-ordered scan of the pushed window ``[t - tolerance,
+        t + tolerance]``; the strict ``<`` keeps the earlier of two equally
+        close samples.
+        """
+        if tolerance < 0:
+            return {}
+        at_object, at_t = map(self._spec.columns.index, ("object_id", "t"))
+        window = Query(self._backend, "trajectory").during(t - tolerance, t + tolerance)
+        closest: Dict[str, Tuple[float, Tuple]] = {}
+        for row in window.tuples():
+            object_id, gap = row[at_object], abs(row[at_t] - t)
+            current = closest.get(object_id)
+            if current is None or gap < current[0]:
+                closest[object_id] = (gap, row)
+        return {object_id: row for object_id, (_, row) in closest.items()}
 
     def _require_bare(self, verb: str, allow_floor: bool) -> None:
         plan = self._plan
@@ -504,7 +538,7 @@ class Query:
         if extra or plan.region or plan.time_range or plan.columns or \
                 plan.order_by or plan.limit is not None or plan.offset:
             raise StorageError(
-                f"{verb}() is a native operator and takes no other query steps"
+                f"{verb}() is a built-in operator and takes no other query steps"
             )
 
     # ------------------------------------------------------------------ #

@@ -21,8 +21,13 @@ The write path has one row shape: a tuple in the dataset's
 typed record by :func:`record_row`.  The generation chain calls it once per
 record inside the shard, so only row tuples cross the process boundary and
 reach the engines and the live tap; every ``add_many`` accepts those tuples
-as they are and converts typed records with the same function.  Reads go the
-other way, through :data:`ROW_CONVERTERS`.
+as they are and converts typed records with the same function.
+
+Every read is a builder query (:mod:`repro.storage.query`), converted to
+typed records through :data:`ROW_CONVERTERS`; ``records_of(o)`` is
+``Query(backend, dataset).where(object_id=o).records()``.  So reads follow
+the builder's order: time order with ties in insertion order, or insertion
+order for the ``device`` dataset, which has no time column.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from repro.core.types import (
 from repro.mobility.trajectory import Trajectory, TrajectorySet
 from repro.storage.backends import StorageBackend, backend_by_name
 from repro.storage.backends.memory import MemoryBackend
-from repro.storage.tables import Table
+from repro.storage.query import Query
 
 
 def _location_from_row(row: Dict) -> IndoorLocation:
@@ -200,16 +205,9 @@ class _Repository:
     def __len__(self) -> int:
         return self.backend.count(self.dataset)
 
-    @property
-    def table(self) -> Table:
-        """The raw in-memory table (memory engine only; legacy escape hatch)."""
-        handle = getattr(self.backend, "table_handle", None)
-        if handle is None:
-            raise StorageError(
-                f"the {self.backend.name!r} backend does not expose raw tables; "
-                "use the repository/query methods instead"
-            )
-        return handle(self.dataset)
+    def _query(self) -> Query:
+        """A builder :class:`~repro.storage.query.Query` over this dataset."""
+        return Query(self.backend, self.dataset)
 
     def _insert(self, records: Iterable[Any]) -> int:
         """Store row tuples as they are, and typed records as their rows."""
@@ -242,11 +240,10 @@ class TrajectoryRepository(_Repository):
         return self.add_many(trajectories.all_records())
 
     def object_ids(self) -> List[ObjectId]:
-        return self.backend.distinct(self.dataset, "object_id")
+        return self._query().distinct("object_id")
 
     def records_of(self, object_id: ObjectId) -> List[TrajectoryRecord]:
-        rows = self.backend.rows_eq(self.dataset, "object_id", object_id, order_by="t")
-        return [row_to_trajectory_record(row) for row in rows]
+        return self._query().where(object_id=object_id).records()
 
     def trajectory_of(self, object_id: ObjectId) -> Trajectory:
         trajectory = Trajectory(object_id)
@@ -256,17 +253,15 @@ class TrajectoryRepository(_Repository):
 
     def to_trajectory_set(self) -> TrajectorySet:
         trajectories = TrajectorySet()
-        for row in self.backend.iter_time_ordered(self.dataset):
-            trajectories.add_record(row_to_trajectory_record(row))
+        for record in self._query().records():
+            trajectories.add_record(record)
         return trajectories
 
     def in_time_range(self, t_start: Timestamp, t_end: Timestamp) -> List[TrajectoryRecord]:
-        rows = self.backend.rows_in_time_range(self.dataset, t_start, t_end)
-        return [row_to_trajectory_record(row) for row in rows]
+        return self._query().during(t_start, t_end).records()
 
     def in_partition(self, partition_id: str) -> List[TrajectoryRecord]:
-        rows = self.backend.rows_eq(self.dataset, "partition_id", partition_id)
-        return [row_to_trajectory_record(row) for row in rows]
+        return self._query().where(partition_id=partition_id).records()
 
 
 class RSSIRepository(_Repository):
@@ -282,19 +277,16 @@ class RSSIRepository(_Repository):
         return self._insert(records)
 
     def records_of_object(self, object_id: ObjectId) -> List[RSSIRecord]:
-        rows = self.backend.rows_eq(self.dataset, "object_id", object_id, order_by="t")
-        return [row_to_rssi_record(row) for row in rows]
+        return self._query().where(object_id=object_id).records()
 
     def records_of_device(self, device_id: str) -> List[RSSIRecord]:
-        rows = self.backend.rows_eq(self.dataset, "device_id", device_id, order_by="t")
-        return [row_to_rssi_record(row) for row in rows]
+        return self._query().where(device_id=device_id).records()
 
     def in_time_range(self, t_start: Timestamp, t_end: Timestamp) -> List[RSSIRecord]:
-        rows = self.backend.rows_in_time_range(self.dataset, t_start, t_end)
-        return [row_to_rssi_record(row) for row in rows]
+        return self._query().during(t_start, t_end).records()
 
     def all_records(self) -> List[RSSIRecord]:
-        return [row_to_rssi_record(row) for row in self.backend.all_rows(self.dataset)]
+        return self._query().records()
 
 
 class PositioningRepository(_Repository):
@@ -310,21 +302,16 @@ class PositioningRepository(_Repository):
         return self._insert(records)
 
     def records_of(self, object_id: ObjectId) -> List[PositioningRecord]:
-        rows = self.backend.rows_eq(self.dataset, "object_id", object_id, order_by="t")
-        return [row_to_positioning_record(row) for row in rows]
+        return self._query().where(object_id=object_id).records()
 
     def by_method(self, method: PositioningMethod) -> List[PositioningRecord]:
-        rows = self.backend.rows_eq(self.dataset, "method", method.value)
-        return [row_to_positioning_record(row) for row in rows]
+        return self._query().where(method=method.value).records()
 
     def in_time_range(self, t_start: Timestamp, t_end: Timestamp) -> List[PositioningRecord]:
-        rows = self.backend.rows_in_time_range(self.dataset, t_start, t_end)
-        return [row_to_positioning_record(row) for row in rows]
+        return self._query().during(t_start, t_end).records()
 
     def all_records(self) -> List[PositioningRecord]:
-        return [
-            row_to_positioning_record(row) for row in self.backend.all_rows(self.dataset)
-        ]
+        return self._query().records()
 
 
 class ProbabilisticPositioningRepository(_Repository):
@@ -344,14 +331,10 @@ class ProbabilisticPositioningRepository(_Repository):
         return self._insert(records)
 
     def records_of(self, object_id: ObjectId) -> List[ProbabilisticPositioningRecord]:
-        rows = self.backend.rows_eq(self.dataset, "object_id", object_id, order_by="t")
-        return [row_to_probabilistic_record(row) for row in rows]
+        return self._query().where(object_id=object_id).records()
 
     def all_records(self) -> List[ProbabilisticPositioningRecord]:
-        return [
-            row_to_probabilistic_record(row)
-            for row in self.backend.all_rows(self.dataset)
-        ]
+        return self._query().records()
 
     def best_estimates(self) -> List[PositioningRecord]:
         """Collapse every probabilistic record to its most probable candidate."""
@@ -379,21 +362,17 @@ class ProximityRepository(_Repository):
         return self._insert(records)
 
     def records_of(self, object_id: ObjectId) -> List[ProximityRecord]:
-        rows = self.backend.rows_eq(self.dataset, "object_id", object_id, order_by="t_start")
-        return [row_to_proximity_record(row) for row in rows]
+        return self._query().where(object_id=object_id).records()
 
     def records_of_device(self, device_id: str) -> List[ProximityRecord]:
-        rows = self.backend.rows_eq(self.dataset, "device_id", device_id, order_by="t_start")
-        return [row_to_proximity_record(row) for row in rows]
+        return self._query().where(device_id=device_id).records()
 
     def active_at(self, t: Timestamp) -> List[ProximityRecord]:
         """Detection periods covering time *t*."""
-        return [row_to_proximity_record(row) for row in self.backend.proximity_active_at(t)]
+        return self._query().where("t_start", "<=", t).where("t_end", ">=", t).records()
 
     def all_records(self) -> List[ProximityRecord]:
-        return [
-            row_to_proximity_record(row) for row in self.backend.all_rows(self.dataset)
-        ]
+        return self._query().records()
 
 
 class DeviceRepository(_Repository):
@@ -409,15 +388,13 @@ class DeviceRepository(_Repository):
         return self._insert(records)
 
     def by_type(self, device_type: DeviceType) -> List[DeviceRecord]:
-        rows = self.backend.rows_eq(self.dataset, "device_type", device_type.value)
-        return [row_to_device_record(row) for row in rows]
+        return self._query().where(device_type=device_type.value).records()
 
     def on_floor(self, floor_id: int) -> List[DeviceRecord]:
-        rows = self.backend.rows_eq(self.dataset, "floor_id", floor_id)
-        return [row_to_device_record(row) for row in rows]
+        return self._query().where(floor_id=floor_id).records()
 
     def all_records(self) -> List[DeviceRecord]:
-        return [row_to_device_record(row) for row in self.backend.all_rows(self.dataset)]
+        return self._query().records()
 
 
 class DataWarehouse:
@@ -459,15 +436,13 @@ class DataWarehouse:
             batch_size=storage_config.batch_size,
         )
 
-    def query(self, dataset: str) -> "Query":
+    def query(self, dataset: str) -> Query:
         """A composable :class:`~repro.storage.query.Query` over *dataset*.
 
         The entry point of the builder API::
 
             warehouse.query("trajectory").during(0, 60).on_floor(1).count()
         """
-        from repro.storage.query import Query  # local import breaks the cycle
-
         return Query(self.backend, dataset)
 
     def attach_metrics(self, registry: Any) -> None:

@@ -2,26 +2,25 @@
 
 The paper stores generated data in PostgreSQL with "efficient indices"
 (Section 4.2).  This module provides an offline substitute: a typed table
-whose rows are dictionaries, with optional hash indexes on equality-queried
-columns and a sorted index on the timestamp column for range scans.
+whose rows are tuples in column order (the write path's row shape), with
+optional hash indexes on equality-queried columns and a sorted index on the
+timestamp column for range scans.
 
-Rows arrive as tuples in column order (the write path's row shape) or as
-dictionaries.  :meth:`Table.insert_many` checks a whole batch first and then
-updates each index in one pass over it, computing every key once and sharing
-one row-id ``int`` per row across all indexes.
+:meth:`Table.insert_many` keeps the tuples it receives.  It checks a whole
+batch first and then updates each index in one pass over it, computing every
+key once and sharing one row-id ``int`` per row across all indexes.  Every
+read returns the stored tuples; they are immutable, so no caller can change
+a stored row or leave an index stale.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from itertools import repeat
 from operator import itemgetter
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.errors import StorageError
-
-Row = Dict[str, Any]
 
 
 @dataclass
@@ -53,11 +52,11 @@ class TableSchema:
 
 
 class Table:
-    """An append-oriented, indexed, in-memory relation."""
+    """An append-oriented, indexed, in-memory relation of row tuples."""
 
     def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
-        self._rows: List[Row] = []
+        self._rows: List[Tuple] = []
         self._hash: Dict[str, Dict[Any, List[int]]] = {
             column: {} for column in schema.hash_indexes
         }
@@ -81,46 +80,33 @@ class Table:
     # ------------------------------------------------------------------ #
     # Mutation
     # ------------------------------------------------------------------ #
-    def _values(self, row: Union[Row, Tuple]) -> Tuple:
-        """*row* as a tuple in column order."""
-        if type(row) is tuple:
-            return row
-        missing = [c for c in self.schema.columns if c not in row]
-        if missing:
-            raise StorageError(
-                f"table {self.schema.name}: row is missing columns {missing}"
-            )
-        return tuple(row[column] for column in self.schema.columns)
-
     def _duplicate_error(self, key: Tuple) -> StorageError:
         described = dict(zip(self.schema.unique_key, key))
         return StorageError(
             f"table {self.schema.name}: duplicate row for unique key {described}"
         )
 
-    def insert(self, row: Union[Row, Tuple]) -> int:
-        """Insert one row (a dict, or a tuple in column order); returns its row id."""
+    def insert(self, row: Tuple) -> int:
+        """Insert one row tuple in column order; returns its row id."""
         self.insert_many([row])
         return len(self._rows) - 1
 
-    def insert_many(self, rows: Iterable[Union[Row, Tuple]]) -> int:
-        """Insert many rows; returns the number inserted.
+    def insert_many(self, rows: Iterable[Tuple]) -> int:
+        """Insert many row tuples in column order; returns the number inserted.
 
-        Each row is a tuple in column order or a dict.  The batch is atomic:
-        every row is validated (its width, and its unique key against the
-        table *and* the rest of the batch) before any row is inserted, so a
-        bad row leaves the table unchanged.
+        The batch is atomic: every row is validated (its shape and width, and
+        its unique key against the table *and* the rest of the batch) before
+        any row is inserted, so a bad row leaves the table unchanged.
         """
         schema = self.schema
         columns = schema.columns
-        batch = [self._values(row) for row in rows]
+        batch = list(rows)
         if not batch:
             return 0
-        widths = set(map(len, batch))
-        if widths != {len(columns)}:
+        if set(map(type, batch)) != {tuple} or set(map(len, batch)) != {len(columns)}:
             raise StorageError(
-                f"table {schema.name}: a row tuple needs {len(columns)} values "
-                f"({', '.join(columns)}), got {sorted(widths - {len(columns)})}"
+                f"table {schema.name}: a row is a tuple of {len(columns)} values "
+                f"in column order ({', '.join(columns)})"
             )
         keys: List[Tuple] = []
         if schema.unique_key:
@@ -135,7 +121,7 @@ class Table:
 
         first = len(self._rows)
         row_ids = list(range(first, first + len(batch)))
-        self._rows.extend(map(dict, map(zip, repeat(columns), batch)))
+        self._rows.extend(batch)
         for column in schema.hash_indexes:
             index = self._hash[column]
             for row_id, value in zip(row_ids, map(self._getters[column], batch)):
@@ -164,25 +150,22 @@ class Table:
     def __len__(self) -> int:
         return len(self._rows)
 
-    def __iter__(self) -> Iterator[Row]:
-        return iter(self._rows)
+    def _getter(self, column: str) -> Callable[[Tuple], Any]:
+        try:
+            return self._getters[column]
+        except KeyError:
+            raise StorageError(f"table {self.schema.name}: no column {column!r}")
 
-    def all_rows(self) -> List[Row]:
+    def all_rows(self) -> List[Tuple]:
         """Every row, in insertion order."""
         return list(self._rows)
 
-    def row(self, row_id: int) -> Row:
-        """The row with the given id."""
-        try:
-            return self._rows[row_id]
-        except IndexError:
-            raise StorageError(f"table {self.schema.name}: no row {row_id}")
-
-    def lookup(self, column: str, value: Any) -> List[Row]:
+    def lookup(self, column: str, value: Any) -> List[Tuple]:
         """Equality lookup, using the hash index when one exists."""
         if column in self._hash:
             return [self._rows[i] for i in self._hash[column].get(value, [])]
-        return [row for row in self._rows if row.get(column) == value]
+        get = self._getter(column)
+        return [row for row in self._rows if get(row) == value]
 
     def _sorted_index(self, purpose: str) -> List[Tuple[Any, int]]:
         """The ordered index, sorted (raises when the table has none)."""
@@ -195,8 +178,8 @@ class Table:
             self._ordered_dirty = False
         return self._ordered
 
-    def range(self, low: Any, high: Any) -> List[Row]:
-        """Rows whose ordered-index key lies in ``[low, high]``."""
+    def range(self, low: Any, high: Any) -> List[Tuple]:
+        """Rows whose ordered-index key lies in ``[low, high]``, in key order."""
         ordered = self._sorted_index("range queries")
         start = bisect.bisect_left(ordered, (low, -1))
         end = bisect.bisect_right(ordered, (high, len(self._rows)))
@@ -209,21 +192,17 @@ class Table:
             return None
         return (ordered[0][0], ordered[-1][0])
 
-    def iter_ordered(self) -> Iterator[Row]:
+    def iter_ordered(self) -> Iterator[Tuple]:
         """Every row, in ordered-index key order (single sorted pass)."""
         ordered = self._sorted_index("ordered iteration")
         return (self._rows[row_id] for _, row_id in ordered)
-
-    def select(self, predicate: Callable[[Row], bool]) -> List[Row]:
-        """Full scan with an arbitrary predicate."""
-        return [row for row in self._rows if predicate(row)]
 
     def distinct(self, column: str) -> List[Any]:
         """Distinct values of *column* (sorted when possible)."""
         if column in self._hash:
             values = list(self._hash[column].keys())
         else:
-            values = list({row.get(column) for row in self._rows})
+            values = list(set(map(self._getter(column), self._rows)))
         try:
             return sorted(values)
         except TypeError:
@@ -234,9 +213,9 @@ class Table:
         if column in self._hash:
             return {value: len(ids) for value, ids in self._hash[column].items()}
         counts: Dict[Any, int] = {}
-        for row in self._rows:
-            counts[row.get(column)] = counts.get(row.get(column), 0) + 1
+        for value in map(self._getter(column), self._rows):
+            counts[value] = counts.get(value, 0) + 1
         return counts
 
 
-__all__ = ["Row", "TableSchema", "Table"]
+__all__ = ["TableSchema", "Table"]

@@ -134,7 +134,8 @@ class TestReplayEquivalence:
         config, result = _monitored_run(building, seed, window, slide)
         monitors = _all_monitors(config, window, slide)
         sqlite = DataWarehouse(SQLiteBackend())
-        sqlite.backend.insert_rows("trajectory", result.warehouse.backend.all_rows("trajectory"))
+        stored = result.warehouse.backend.table_handle("trajectory").all_rows()
+        sqlite.backend.insert_rows("trajectory", stored)
         on_sqlite = replay(sqlite, monitors)
         sqlite.close()
         assert _emission(on_sqlite) == _emission(replay(result.warehouse, monitors))

@@ -113,8 +113,9 @@ class TestFlushBoundaries:
         assert writer.max_pending <= flush_every
 
         per_object = {}
-        for row in warehouse.backend.all_rows("trajectory"):  # insertion order
-            per_object.setdefault(row["object_id"], []).append(row["t"])
+        # Columns: object_id, t, ... (the stored tuples, in insertion order).
+        for object_id, t, *_ in warehouse.backend.table_handle("trajectory").all_rows():
+            per_object.setdefault(object_id, []).append(t)
         for object_id, times in per_object.items():
             assert all(a < b for a, b in zip(times, times[1:])), (
                 f"{object_id}: stored order is not strictly increasing in t"

@@ -13,6 +13,7 @@ from repro.storage.export import (
     import_rssi_csv,
     import_trajectories_csv,
 )
+from repro.storage.query import Query
 from repro.storage.repositories import record_row
 from repro.storage.tables import Table, TableSchema
 
@@ -57,13 +58,11 @@ class TestTableProperties:
                 ordered_index="t",
             )
         )
-        table.insert_many(record.as_record() for record in records)
+        table.insert_many(record_row(record)[1] for record in records)
         for object_id in ("a", "b", "c", "d"):
             indexed = table.lookup("object_id", object_id)
-            scanned = [row for row in table.all_rows() if row["object_id"] == object_id]
-            assert sorted(indexed, key=lambda r: (r["t"], r["rssi"])) == sorted(
-                scanned, key=lambda r: (r["t"], r["rssi"])
-            )
+            scanned = [row for row in table.all_rows() if row[0] == object_id]
+            assert indexed == scanned
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(rssi_records(), max_size=60), timestamps, timestamps)
@@ -76,11 +75,11 @@ class TestTableProperties:
                 ordered_index="t",
             )
         )
-        table.insert_many(record.as_record() for record in records)
+        table.insert_many(record_row(record)[1] for record in records)
         by_index = table.range(low, high)
-        by_scan = [row for row in table.all_rows() if low <= row["t"] <= high]
-        assert len(by_index) == len(by_scan)
-        assert sorted(r["t"] for r in by_index) == sorted(r["t"] for r in by_scan)
+        by_scan = [row for row in table.all_rows() if low <= row[3] <= high]
+        # A stable sort: time ties keep insertion order, as the index does.
+        assert by_index == sorted(by_scan, key=lambda row: row[3])
 
 
 def _trajectory_table() -> Table:
@@ -98,6 +97,8 @@ def _trajectory_table() -> Table:
 
 #: Hash-indexed columns, and one without an index.
 _COLUMNS = ("object_id", "partition_id", "floor_id", "building_id")
+#: Column -> its position in a trajectory row tuple.
+_AT = {column: index for index, column in enumerate(DATASETS["trajectory"].columns)}
 
 
 def _table_state(table: Table, low: float, high: float) -> dict:
@@ -108,7 +109,7 @@ def _table_state(table: Table, low: float, high: float) -> dict:
         "lookups": {
             (column, value): table.lookup(column, value)
             for column in _COLUMNS
-            for value in {row[column] for row in rows}
+            for value in {row[_AT[column]] for row in rows}
         },
         "range": table.range(low, high),
         "ordered": list(table.iter_ordered()),
@@ -118,19 +119,21 @@ def _table_state(table: Table, low: float, high: float) -> dict:
 
 def _scanned_state(rows: list, low: float, high: float) -> dict:
     """What :func:`_table_state` must read, computed by full scans of *rows*."""
-    in_time_order = [row for _, row in sorted(enumerate(rows), key=lambda p: (p[1]["t"], p[0]))]
+    t = _AT["t"]
+    in_time_order = [row for _, row in sorted(enumerate(rows), key=lambda p: (p[1][t], p[0]))]
     counts = {column: {} for column in _COLUMNS}
     for row in rows:
         for column in _COLUMNS:
-            counts[column][row[column]] = counts[column].get(row[column], 0) + 1
+            value = row[_AT[column]]
+            counts[column][value] = counts[column].get(value, 0) + 1
     return {
         "rows": rows,
         "lookups": {
-            (column, value): [row for row in rows if row[column] == value]
+            (column, value): [row for row in rows if row[_AT[column]] == value]
             for column in _COLUMNS
-            for value in {row[column] for row in rows}
+            for value in {row[_AT[column]] for row in rows}
         },
-        "range": [row for row in in_time_order if low <= row["t"] <= high],
+        "range": [row for row in in_time_order if low <= row[t] <= high],
         "ordered": in_time_order,
         "counts": counts,
     }
@@ -161,8 +164,7 @@ class TestBatchInsertProperties:
                 single.insert(row)
         state = _table_state(batched, low, high)
         assert state == _table_state(single, low, high)
-        columns = DATASETS["trajectory"].columns
-        rows = [dict(zip(columns, row)) for batch in batches for row in batch]
+        rows = [row for batch in batches for row in batch]
         assert state == _scanned_state(rows, low, high)
 
     @settings(max_examples=60, deadline=None)
@@ -216,7 +218,9 @@ class TestKnnEngineEquivalence:
         for backend in (MemoryBackend(), SQLiteBackend()):
             for batch in batches:
                 backend.insert_rows("trajectory", batch)
-            answers.append(backend.knn(floor, x, y, t, k, tolerance))
+            query = Query(backend, "trajectory")
+            answers.append((query.on_floor(floor).knn(x, y, t, k, tolerance),
+                            query.snapshot(t, tolerance)))
             backend.close()
         assert answers[0] == answers[1]
 

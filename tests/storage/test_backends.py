@@ -24,6 +24,7 @@ from repro.geometry.point import Point
 from repro.geometry.polygon import BoundingBox
 from repro.storage.backends import BACKENDS, MemoryBackend, SQLiteBackend, backend_by_name
 from repro.storage.backends.base import DATASETS
+from repro.storage.query import Query
 from repro.storage.repositories import DataWarehouse, record_row
 from repro.storage.stream import DataStreamAPI
 
@@ -245,18 +246,13 @@ class TestRowShapes:
         }
 
     @pytest.mark.parametrize("kind", BACKEND_PARAMS)
-    def test_a_tuple_and_a_dict_store_equal_values(self, kind, tmp_path):
-        as_tuples = _make_backend(kind, tmp_path / "tuples")
-        as_dicts = _make_backend(kind, tmp_path / "dicts")
-        for record in TYPED_RECORDS:
-            dataset, row = record_row(record)
-            as_tuples.insert_rows(dataset, [row])
-            as_dicts.insert_rows(dataset, [dict(zip(DATASETS[dataset].columns, row))])
-        for dataset in DATASETS:
-            assert as_tuples.all_rows(dataset) == as_dicts.all_rows(dataset)
-            assert as_tuples.count(dataset) >= 1
-        as_tuples.close()
-        as_dicts.close()
+    def test_a_row_dict_is_rejected(self, kind, tmp_path):
+        backend = _make_backend(kind, tmp_path)
+        _, row = record_row(TYPED_RECORDS[0])
+        with pytest.raises(StorageError, match="tuple"):
+            backend.insert_rows("trajectory", [row, dict(zip(DATASETS["trajectory"].columns, row))])
+        assert backend.count("trajectory") == 0
+        backend.close()
 
     @pytest.mark.parametrize("kind", BACKEND_PARAMS)
     def test_a_row_tuple_of_the_wrong_width_is_rejected(self, kind, tmp_path):
@@ -299,6 +295,14 @@ class TestRowShapes:
         rows.close()
 
 
+def _objects_in_box(backend):
+    """Objects on floor 0 inside the box (8, 8)-(12, 12) during [0, 5]: on
+    SQLite a grid-bucket read, so stale buckets would drop the row."""
+    query = Query(backend, "trajectory").on_floor(0).within((8.0, 8.0, 12.0, 12.0))
+    assert "grid-bucket" in " ".join(query.explain("distinct", column="object_id")["pushed"])
+    return query.during(0.0, 5.0).distinct("object_id")
+
+
 class TestSQLitePersistence:
     def test_survives_process_restart(self, tmp_path):
         path = tmp_path / "persisted.sqlite"
@@ -316,26 +320,26 @@ class TestSQLitePersistence:
         path = tmp_path / "cells.sqlite"
         backend = SQLiteBackend(path=path, cell_size=2.0)
         backend.insert_rows(
-            "trajectory", [TrajectoryRecord("o1", _loc(10.0, 10.0), 0.0).as_record()]
+            "trajectory", [record_row(TrajectoryRecord("o1", _loc(10.0, 10.0), 0.0))[1]]
         )
         backend.close()
         # Reopening without naming a cell size must keep the stored buckets
         # consistent — the grid prefilter would otherwise drop matching rows.
         reopened = SQLiteBackend(path=path)
         assert reopened.cell_size == 2.0
-        assert reopened.region_object_ids(0, 8.0, 8.0, 12.0, 12.0, 0.0, 5.0) == ["o1"]
+        assert _objects_in_box(reopened) == ["o1"]
         reopened.close()
 
     def test_explicit_cell_size_change_rebuckets(self, tmp_path):
         path = tmp_path / "rebucket.sqlite"
         backend = SQLiteBackend(path=path, cell_size=2.0)
         backend.insert_rows(
-            "trajectory", [TrajectoryRecord("o1", _loc(10.0, 10.0), 0.0).as_record()]
+            "trajectory", [record_row(TrajectoryRecord("o1", _loc(10.0, 10.0), 0.0))[1]]
         )
         backend.close()
         resized = SQLiteBackend(path=path, cell_size=5.0)
         assert resized.cell_size == 5.0
-        assert resized.region_object_ids(0, 8.0, 8.0, 12.0, 12.0, 0.0, 5.0) == ["o1"]
+        assert _objects_in_box(resized) == ["o1"]
         resized.close()
 
     def test_opening_non_database_file_raises_storage_error(self, tmp_path):
@@ -368,7 +372,7 @@ class TestSQLitePersistence:
     def test_batched_writes_drain_on_read(self, tmp_path):
         backend = SQLiteBackend(path=tmp_path / "batch.sqlite", batch_size=5)
         rows = [
-            TrajectoryRecord("o", _loc(float(i), 0.0), float(i)).as_record()
+            record_row(TrajectoryRecord("o", _loc(float(i), 0.0), float(i)))[1]
             for i in range(12)
         ]
         backend.insert_rows("trajectory", rows)
@@ -380,7 +384,7 @@ class TestSQLitePersistence:
     def test_spatial_query_uses_grid_index(self, tmp_path):
         backend = SQLiteBackend(path=tmp_path / "plan.sqlite")
         backend.insert_rows(
-            "trajectory", [TrajectoryRecord("o", _loc(1.0, 1.0), 0.0).as_record()]
+            "trajectory", [record_row(TrajectoryRecord("o", _loc(1.0, 1.0), 0.0))[1]]
         )
         backend.flush()
         plan = backend._connection.execute(
@@ -393,7 +397,7 @@ class TestSQLitePersistence:
     def test_time_range_uses_index(self, tmp_path):
         backend = SQLiteBackend(path=tmp_path / "plan2.sqlite")
         backend.insert_rows(
-            "trajectory", [TrajectoryRecord("o", _loc(1.0, 1.0), 0.0).as_record()]
+            "trajectory", [record_row(TrajectoryRecord("o", _loc(1.0, 1.0), 0.0))[1]]
         )
         backend.flush()
         plan = backend._connection.execute(
@@ -405,7 +409,7 @@ class TestSQLitePersistence:
     def test_floor_window_limit_reads_an_index_in_time_order(self, tmp_path):
         warehouse = DataWarehouse(SQLiteBackend(path=tmp_path / "plan3.sqlite"))
         warehouse.backend.insert_rows("trajectory", [
-            TrajectoryRecord(f"o{i % 3}", _loc(1.0, 1.0, floor=i % 2), float(i)).as_record()
+            record_row(TrajectoryRecord(f"o{i % 3}", _loc(1.0, 1.0, floor=i % 2), float(i)))[1]
             for i in range(60)
         ])
         warehouse.flush()
@@ -489,10 +493,64 @@ class TestBackendFactory:
         with pytest.raises(StorageError):
             SQLiteBackend(batch_size=0)
 
-    def test_raw_table_access_is_memory_only(self, tmp_path):
-        sqlite_warehouse = DataWarehouse(SQLiteBackend(path=tmp_path / "t.sqlite"))
-        with pytest.raises(StorageError):
-            sqlite_warehouse.trajectories.table
-        memory_warehouse = DataWarehouse()
-        assert memory_warehouse.trajectories.table is not None
-        sqlite_warehouse.close()
+
+
+class TestOneReadPath:
+    """Every read goes through ``execute_plan``; engines add no other read."""
+
+    CONTRACT = {
+        "insert_rows", "count", "execute_plan", "time_bounds", "clear", "clear_all",
+        "flush", "close", "describe", "attach_metrics",
+    }
+
+    @staticmethod
+    def _public_methods(cls):
+        return {
+            name for name in dir(cls)
+            if not name.startswith("_") and callable(getattr(cls, name))
+        }
+
+    def test_the_backend_contract_is_exactly_the_one_read_path(self):
+        from repro.storage.backends.base import StorageBackend
+
+        assert self._public_methods(StorageBackend) == self.CONTRACT
+
+    def test_engines_add_no_public_read_method(self):
+        assert self._public_methods(SQLiteBackend) == self.CONTRACT
+        assert self._public_methods(MemoryBackend) == self.CONTRACT | {"table_handle"}
+
+    def test_the_memory_engine_stores_the_row_tuples_it_is_given(self):
+        backend = MemoryBackend()
+        _, row = record_row(TYPED_RECORDS[0])
+        backend.insert_rows("trajectory", [row])
+        [stored] = backend.table_handle("trajectory").all_rows()
+        assert stored is row
+        assert list(Query(backend, "trajectory").tuples()) == [row]
+
+
+class TestReadsHandOutFreshRows:
+    """A caller that edits the rows it read changes nothing stored."""
+
+    @pytest.mark.parametrize("kind", BACKEND_PARAMS)
+    def test_mutating_returned_rows_leaves_the_stored_rows_unchanged(self, kind, tmp_path):
+        warehouse = DataWarehouse(_make_backend(kind, tmp_path))
+        warehouse.trajectories.add_many(
+            [TrajectoryRecord("o1", _loc(1.0, 2.0), 0.0),
+             TrajectoryRecord("o1", _loc(3.0, 4.0), 1.0)]
+        )
+        query = warehouse.query("trajectory")
+        before = query.all()
+        records_before = warehouse.trajectories.records_of("o1")
+
+        handed_out = [*query.all(), *query.iter(), query.first(), *query.snapshot(0.0).values()]
+        for row in handed_out:
+            row["object_id"] = "zz"
+            row["x"] = 999.0
+
+        assert query.all() == before
+        assert query.count() == 2
+        assert query.where(object_id="o1").count() == 2
+        assert query.where(object_id="zz").count() == 0
+        assert warehouse.trajectories.records_of("o1") == records_before
+        assert set(query.snapshot(0.0)) == {"o1"}
+        warehouse.close()

@@ -292,18 +292,13 @@ class TestBuilderGrammar:
     def test_count_distinct_by_ignores_none_values(self, warehouse):
         # COUNT(DISTINCT col) ignores NULLs in SQL; the fallback must too —
         # including emitting an all-NULL group with count 0.
+        # Columns: object_id, t, method, building_id, floor_id, partition_id, x, y.
         warehouse.positioning.backend.insert_rows(
             "positioning",
             [
-                {"object_id": "a", "t": 1.0, "method": "trilateration",
-                 "building_id": "b", "floor_id": 0, "partition_id": "hall",
-                 "x": 1.0, "y": 1.0},
-                {"object_id": None, "t": 2.0, "method": "trilateration",
-                 "building_id": "b", "floor_id": 0, "partition_id": "hall",
-                 "x": 1.0, "y": 1.0},
-                {"object_id": None, "t": 3.0, "method": "trilateration",
-                 "building_id": "b", "floor_id": 0, "partition_id": "lobby",
-                 "x": 1.0, "y": 1.0},
+                ("a", 1.0, "trilateration", "b", 0, "hall", 1.0, 1.0),
+                (None, 2.0, "trilateration", "b", 0, "hall", 1.0, 1.0),
+                (None, 3.0, "trilateration", "b", 0, "lobby", 1.0, 1.0),
             ],
         )
         counts = warehouse.query("positioning").count_by(
@@ -340,7 +335,7 @@ class TestBuilderGrammar:
     def test_snapshot_and_knn_are_bare_operators(self, warehouse):
         with pytest.raises(StorageError, match="on_floor"):
             warehouse.query("trajectory").knn(0.0, 0.0, 5.0)
-        with pytest.raises(StorageError, match="native operator"):
+        with pytest.raises(StorageError, match="built-in operator"):
             warehouse.query("trajectory").during(0.0, 5.0).snapshot(2.0)
         with pytest.raises(StorageError, match="trajectory query"):
             warehouse.query("rssi").snapshot(2.0)

@@ -155,3 +155,181 @@ class TestDataWarehouse:
         assert summary["rssi_records"] == 1
         assert summary["proximity_records"] == 1
         assert summary["positioning_records"] == 0
+
+
+def _loaded_warehouse(engine, tmp_path):
+    """A warehouse of every dataset, each written out of time order, with
+    time ties between objects and devices listed in no sorted order."""
+    from repro.storage.backends import MemoryBackend, SQLiteBackend
+
+    backend = MemoryBackend() if engine == "memory" else SQLiteBackend(path=tmp_path / "r.sqlite")
+    warehouse = DataWarehouse(backend)
+    warehouse.trajectories.add_many(
+        TrajectoryRecord(o, _loc(x=t, partition="hall" if t < 3 else "shop"), t)
+        for t, o in ((4.0, "b"), (1.0, "a"), (2.0, "b"), (1.0, "b"), (0.0, "a"), (3.0, "a"))
+    )
+    warehouse.rssi.add_many(
+        RSSIRecord(o, d, -60.0 - t, t)
+        for t, o, d in ((2.0, "a", "ap2"), (0.0, "b", "ap1"), (2.0, "a", "ap1"), (1.0, "a", "ap1"))
+    )
+    tri, fp = PositioningMethod.TRILATERATION, PositioningMethod.FINGERPRINTING
+    warehouse.positioning.add_many(
+        PositioningRecord(o, _loc(x=t), t, m)
+        for t, o, m in ((5.0, "a", tri), (1.0, "b", fp), (1.0, "a", tri), (0.0, "a", fp))
+    )
+    warehouse.probabilistic.add_many(
+        ProbabilisticPositioningRecord(o, ((_loc(x=t), 1.0),), t)
+        for t, o in ((3.0, "a"), (1.0, "b"), (2.0, "a"))
+    )
+    warehouse.proximity.add_many(
+        ProximityRecord(o, d, start, end)
+        for o, d, start, end in (("a", "d2", 6.0, 9.0), ("b", "d1", 0.0, 8.0),
+                                 ("a", "d1", 2.0, 7.0), ("b", "d2", 2.0, 3.0))
+    )
+    warehouse.devices.add_many(
+        DeviceRecord(d, kind, _loc(floor=f), 5.0, 1.0)
+        for d, kind, f in (("r2", DeviceType.RFID, 1), ("ap1", DeviceType.WIFI, 0),
+                           ("r1", DeviceType.RFID, 0))
+    )
+    return warehouse
+
+
+#: Repository read -> the builder query it means, as ``(read, query)`` over a
+#: warehouse ``w``.
+REPOSITORY_READS = {
+    "trajectory.object_ids": (
+        lambda w: w.trajectories.object_ids(),
+        lambda w: w.query("trajectory").distinct("object_id"),
+    ),
+    "trajectory.records_of": (
+        lambda w: w.trajectories.records_of("b"),
+        lambda w: w.query("trajectory").where(object_id="b").records(),
+    ),
+    "trajectory.to_trajectory_set": (
+        # Per object, in order of each object's first sample in time.
+        lambda w: [r for track in w.trajectories.to_trajectory_set() for r in track.records],
+        lambda w: [
+            r for o in ("a", "b") for r in w.query("trajectory").where(object_id=o).records()
+        ],
+    ),
+    "trajectory.in_time_range": (
+        lambda w: w.trajectories.in_time_range(1.0, 3.0),
+        lambda w: w.query("trajectory").during(1.0, 3.0).records(),
+    ),
+    "trajectory.in_partition": (
+        lambda w: w.trajectories.in_partition("hall"),
+        lambda w: w.query("trajectory").where(partition_id="hall").records(),
+    ),
+    "rssi.records_of_object": (
+        lambda w: w.rssi.records_of_object("a"),
+        lambda w: w.query("rssi").where(object_id="a").records(),
+    ),
+    "rssi.records_of_device": (
+        lambda w: w.rssi.records_of_device("ap1"),
+        lambda w: w.query("rssi").where(device_id="ap1").records(),
+    ),
+    "rssi.in_time_range": (
+        lambda w: w.rssi.in_time_range(1.0, 2.0),
+        lambda w: w.query("rssi").during(1.0, 2.0).records(),
+    ),
+    "rssi.all_records": (
+        lambda w: w.rssi.all_records(),
+        lambda w: w.query("rssi").records(),
+    ),
+    "positioning.records_of": (
+        lambda w: w.positioning.records_of("a"),
+        lambda w: w.query("positioning").where(object_id="a").records(),
+    ),
+    "positioning.by_method": (
+        lambda w: w.positioning.by_method(PositioningMethod.TRILATERATION),
+        lambda w: w.query("positioning").where(method="trilateration").records(),
+    ),
+    "positioning.in_time_range": (
+        lambda w: w.positioning.in_time_range(0.0, 1.0),
+        lambda w: w.query("positioning").during(0.0, 1.0).records(),
+    ),
+    "positioning.all_records": (
+        lambda w: w.positioning.all_records(),
+        lambda w: w.query("positioning").records(),
+    ),
+    "probabilistic.records_of": (
+        lambda w: w.probabilistic.records_of("a"),
+        lambda w: w.query("probabilistic").where(object_id="a").records(),
+    ),
+    "probabilistic.all_records": (
+        lambda w: w.probabilistic.all_records(),
+        lambda w: w.query("probabilistic").records(),
+    ),
+    "proximity.records_of": (
+        lambda w: w.proximity.records_of("a"),
+        lambda w: w.query("proximity").where(object_id="a").records(),
+    ),
+    "proximity.records_of_device": (
+        lambda w: w.proximity.records_of_device("d1"),
+        lambda w: w.query("proximity").where(device_id="d1").records(),
+    ),
+    "proximity.active_at": (
+        lambda w: w.proximity.active_at(2.5),
+        lambda w: w.query("proximity").where("t_start", "<=", 2.5).where("t_end", ">=", 2.5)
+        .records(),
+    ),
+    "proximity.all_records": (
+        lambda w: w.proximity.all_records(),
+        lambda w: w.query("proximity").records(),
+    ),
+    "device.by_type": (
+        lambda w: w.devices.by_type(DeviceType.RFID),
+        lambda w: w.query("device").where(device_type="rfid").records(),
+    ),
+    "device.on_floor": (
+        lambda w: w.devices.on_floor(0),
+        lambda w: w.query("device").where(floor_id=0).records(),
+    ),
+    "device.all_records": (
+        lambda w: w.devices.all_records(),
+        lambda w: w.query("device").records(),
+    ),
+}
+
+
+class TestRepositoryReadsAreBuilderQueries:
+    @pytest.mark.parametrize("name", sorted(REPOSITORY_READS))
+    @pytest.mark.parametrize("engine", ("memory", "sqlite"))
+    def test_read_equals_its_builder_query(self, engine, name, tmp_path):
+        warehouse = _loaded_warehouse(engine, tmp_path)
+        read, query = REPOSITORY_READS[name]
+        assert read(warehouse) == query(warehouse)
+        assert read(warehouse)  # the workload gives every read rows to return
+        warehouse.close()
+
+    @pytest.mark.parametrize("name", sorted(REPOSITORY_READS))
+    def test_read_is_identical_on_both_engines(self, name, tmp_path):
+        read, _ = REPOSITORY_READS[name]
+        answers = []
+        for engine in ("memory", "sqlite"):
+            warehouse = _loaded_warehouse(engine, tmp_path)
+            answers.append(read(warehouse))
+            warehouse.close()
+        assert answers[0] == answers[1]
+
+    @pytest.mark.parametrize("engine", ("memory", "sqlite"))
+    def test_all_records_are_in_time_order_with_ties_in_insertion_order(self, engine, tmp_path):
+        warehouse = _loaded_warehouse(engine, tmp_path)
+        assert [(r.t, r.object_id, r.device_id) for r in warehouse.rssi.all_records()] == [
+            (0.0, "b", "ap1"), (1.0, "a", "ap1"), (2.0, "a", "ap2"), (2.0, "a", "ap1"),
+        ]
+        assert [(r.t, r.object_id) for r in warehouse.positioning.all_records()] == [
+            (0.0, "a"), (1.0, "b"), (1.0, "a"), (5.0, "a"),
+        ]
+        assert [r.t for r in warehouse.probabilistic.all_records()] == [1.0, 2.0, 3.0]
+        assert [(r.t_start, r.device_id) for r in warehouse.proximity.all_records()] == [
+            (0.0, "d1"), (2.0, "d1"), (2.0, "d2"), (6.0, "d2"),
+        ]
+        assert [(r.t, r.object_id) for r in warehouse.trajectories.in_partition("hall")] == [
+            (0.0, "a"), (1.0, "a"), (1.0, "b"), (2.0, "b"),
+        ]
+        assert [r.object_id for r in warehouse.proximity.active_at(2.5)] == ["b", "a", "b"]
+        # The device dataset has no time column: insertion order.
+        assert [r.device_id for r in warehouse.devices.all_records()] == ["r2", "ap1", "r1"]
+        assert [r.device_id for r in warehouse.devices.by_type(DeviceType.RFID)] == ["r2", "r1"]
+        warehouse.close()

@@ -22,10 +22,10 @@ def table() -> Table:
     table = Table(schema)
     table.insert_many(
         [
-            {"object_id": "a", "kind": "enter", "t": 1.0},
-            {"object_id": "b", "kind": "enter", "t": 2.0},
-            {"object_id": "a", "kind": "leave", "t": 5.0},
-            {"object_id": "c", "kind": "enter", "t": 3.0},
+            ("a", "enter", 1.0),
+            ("b", "enter", 2.0),
+            ("a", "leave", 5.0),
+            ("c", "enter", 3.0),
         ]
     )
     return table
@@ -46,20 +46,23 @@ class TestSchemaValidation:
 class TestInsertAndLookup:
     def test_insert_rejects_missing_columns(self, table):
         with pytest.raises(StorageError):
-            table.insert({"object_id": "d"})
-
-    def test_insert_ignores_extra_columns(self, table):
-        table.insert({"object_id": "d", "kind": "enter", "t": 9.0, "extra": 1})
-        assert "extra" not in table.row(len(table) - 1)
-
-    def test_len_and_iteration(self, table):
+            table.insert(("d",))
         assert len(table) == 4
-        assert len(list(table)) == 4
+
+    def test_insert_rejects_a_row_dict(self, table):
+        with pytest.raises(StorageError, match="tuple"):
+            table.insert_many([("d", "enter", 9.0), {"object_id": "d", "kind": "enter", "t": 9.0}])
+        assert len(table) == 4
+
+    def test_len_and_all_rows_in_insertion_order(self, table):
+        assert len(table) == 4
+        assert table.all_rows() == [
+            ("a", "enter", 1.0), ("b", "enter", 2.0), ("a", "leave", 5.0), ("c", "enter", 3.0),
+        ]
 
     def test_hash_lookup(self, table):
         rows = table.lookup("object_id", "a")
-        assert len(rows) == 2
-        assert {row["kind"] for row in rows} == {"enter", "leave"}
+        assert rows == [("a", "enter", 1.0), ("a", "leave", 5.0)]
 
     def test_lookup_without_index_falls_back_to_scan(self, table):
         rows = table.lookup("kind", "enter")
@@ -68,16 +71,15 @@ class TestInsertAndLookup:
     def test_lookup_missing_value(self, table):
         assert table.lookup("object_id", "zzz") == []
 
-    def test_row_accessor_bounds(self, table):
-        assert table.row(0)["object_id"] == "a"
-        with pytest.raises(StorageError):
-            table.row(99)
+    def test_lookup_of_an_unknown_column_raises(self, table):
+        with pytest.raises(StorageError, match="no column"):
+            table.lookup("speed", 3)
 
 
 class TestRangeAndAggregation:
     def test_range_query_inclusive(self, table):
         rows = table.range(2.0, 5.0)
-        assert [row["t"] for row in rows] == [2.0, 3.0, 5.0]
+        assert [t for _, _, t in rows] == [2.0, 3.0, 5.0]
 
     def test_range_query_requires_ordered_index(self):
         schema = TableSchema(name="plain", columns=("a",))
@@ -86,10 +88,6 @@ class TestRangeAndAggregation:
 
     def test_range_empty_window(self, table):
         assert table.range(100.0, 200.0) == []
-
-    def test_select_predicate(self, table):
-        rows = table.select(lambda row: row["t"] > 2.5)
-        assert len(rows) == 2
 
     def test_distinct(self, table):
         assert table.distinct("object_id") == ["a", "b", "c"]
@@ -105,10 +103,10 @@ class TestRangeAndAggregation:
         assert table.range(0.0, 10.0) == []
 
     def test_ordered_index_stays_consistent_after_interleaved_inserts(self, table):
-        table.insert({"object_id": "z", "kind": "enter", "t": 0.5})
-        table.insert({"object_id": "z", "kind": "leave", "t": 4.0})
+        table.insert(("z", "enter", 0.5))
+        table.insert(("z", "leave", 4.0))
         rows = table.range(0.0, 10.0)
-        times = [row["t"] for row in rows]
+        times = [t for _, _, t in rows]
         assert times == sorted(times)
         assert len(rows) == 6
 
@@ -130,12 +128,12 @@ class TestOrderedIndexCost:
             action = rng.random()
             if action < 0.5:
                 batch = [
-                    {"object_id": f"o{rng.randrange(4)}", "t": float(rng.randrange(40))}
+                    (f"o{rng.randrange(4)}", float(rng.randrange(40)))
                     for _ in range(rng.randrange(1, 9))
                 ]
                 table.insert_many(batch)
             elif action < 0.6:
-                batch = [{"object_id": "single", "t": rng.uniform(0.0, 40.0)}]
+                batch = [("single", rng.uniform(0.0, 40.0))]
                 table.insert(batch[0])
             elif action < 0.62:
                 table.clear()
@@ -151,7 +149,7 @@ class TestOrderedIndexCost:
                 assert table.ordered_bounds() == bounds
                 continue
             for row in batch:
-                bisect.insort(reference, (row["t"], len(rows)))
+                bisect.insort(reference, (row[1], len(rows)))
                 rows.append(row)
 
     def test_insert_cost_per_row_does_not_grow_with_the_table(self):
@@ -160,7 +158,7 @@ class TestOrderedIndexCost:
         # median batch that found >= 160k rows in the table is compared with
         # the median one that found < 40k; medians, and the best of three
         # builds, filter out preemption and collector pauses.
-        run = [{"object_id": "o", "t": index * 0.5} for index in range(50_000)]
+        run = [("o", index * 0.5) for index in range(50_000)]
 
         def late_over_early() -> float:
             table = _time_table()
