@@ -10,6 +10,7 @@ generator stays one to two orders of magnitude faster than real time for
 laptop-scale workloads.
 """
 
+import statistics
 import time
 
 import pytest
@@ -24,6 +25,9 @@ from conftest import (
 )
 
 DURATION = 120.0
+#: Runs of the largest summary workload whose median rates are recorded: one
+#: run cannot tell a change smaller than the host's run-to-run spread.
+REPEATS = 5
 
 
 @pytest.fixture(scope="module")
@@ -96,15 +100,21 @@ class TestEndToEndThroughput:
             ],
         )
         largest = rows[-1]
+        repeats = [largest] + [run(largest["count"]) for _ in range(REPEATS - 1)]
+
+        def median_rate(records, seconds):
+            return statistics.median(
+                row[records] / max(row[seconds], 1e-9) for row in repeats
+            )
+
         record_bench(
             "throughput",
             trajectory_records_per_second=round(
-                largest["trajectory_records"] / max(largest["trajectory_seconds"], 1e-9), 1
+                median_rate("trajectory_records", "trajectory_seconds"), 1
             ),
-            rssi_records_per_second=round(
-                largest["rssi_records"] / max(largest["rssi_seconds"], 1e-9), 1
-            ),
+            rssi_records_per_second=round(median_rate("rssi_records", "rssi_seconds"), 1),
             objects=largest["count"],
+            repeats=REPEATS,
             simulated_duration_seconds=DURATION,
         )
         # Roughly linear scaling: 15x the objects should cost far less than 60x the time.

@@ -98,21 +98,36 @@ class ObjectConfig:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.count < 0:
-            raise ConfigurationError("objects.count must be non-negative")
-        if self.duration <= 0:
-            raise ConfigurationError("objects.duration must be positive")
-        if self.sampling_period <= 0:
-            raise ConfigurationError("objects.sampling_period must be positive")
-        if self.routing not in ("length", "time"):
-            raise ConfigurationError("objects.routing must be 'length' or 'time'")
         if self.arrival_rate_per_minute < 0:
             raise ConfigurationError("objects.arrival_rate_per_minute must be non-negative")
-        # Local import: the mobility layer imports repro.core.  The factory
-        # owns the accepted names, so an unknown one fails here, not later.
+        # Local imports: the mobility layer imports repro.core.  The layer's
+        # own config and factories own the accepted values and names, so a
+        # bad one fails here, before a run clears its warehouse, not later
+        # inside a shard.
+        from repro.mobility.behavior import behavior_by_name
+        from repro.mobility.controller import ObjectGenerationConfig
+        from repro.mobility.crowd import crowd_model_by_name
         from repro.mobility.distributions import distribution_by_name
+        from repro.mobility.intentions import intention_by_name
 
+        try:
+            ObjectGenerationConfig(
+                count=self.count,
+                min_speed=self.min_speed,
+                max_speed=self.max_speed,
+                min_lifespan=self.min_lifespan,
+                max_lifespan=self.max_lifespan,
+                duration=self.duration,
+                sampling_period=self.sampling_period,
+                time_step=self.time_step,
+                routing_metric=self.routing,
+            )
+        except ConfigurationError as error:
+            raise ConfigurationError(f"objects: {error}") from None
         distribution_by_name(self.distribution)
+        intention_by_name(self.intention)
+        behavior_by_name(self.behavior)
+        crowd_model_by_name(self.crowd_interaction)
 
 
 @dataclass

@@ -78,6 +78,8 @@ class ObjectGenerationConfig:
             raise ConfigurationError("duration must be positive")
         if self.sampling_period <= 0:
             raise ConfigurationError("sampling_period must be positive")
+        if self.time_step <= 0:
+            raise ConfigurationError("time_step must be positive")
         if self.routing_metric not in ("length", "time"):
             raise ConfigurationError("routing_metric must be 'length' or 'time'")
 

@@ -148,14 +148,20 @@ class PositioningMethodBase:
         """
         raise NotImplementedError
 
+    def estimate_windows(self, windows: Sequence[ObservationWindow]) -> List:
+        """One :meth:`estimate_window` result per window, in window order.
+
+        A method that can solve many windows at once overrides this.
+        """
+        return [self.estimate_window(window) for window in windows]
+
     def estimate(self, windows: Iterable[ObservationWindow]) -> List:
         """Estimate every window, skipping the ones without enough data."""
-        results = []
-        for window in windows:
-            estimate = self.estimate_window(window)
-            if estimate is not None:
-                results.append(estimate)
-        return results
+        return [
+            estimate
+            for estimate in self.estimate_windows(list(windows))
+            if estimate is not None
+        ]
 
 
 __all__ = ["ObservationWindow", "build_windows", "PositioningMethodBase"]

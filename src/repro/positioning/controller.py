@@ -13,8 +13,8 @@ apply to RFID and Bluetooth devices", Section 5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Union
 
 from repro.building.model import Building
 from repro.core.errors import ConfigurationError, PositioningError
@@ -35,6 +35,10 @@ from repro.positioning.fingerprinting import (
 )
 from repro.positioning.proximity import ProximityMethod
 from repro.positioning.trilateration import RSSIConversion, TrilaterationMethod
+
+#: Observation windows handed to a method's ``estimate_windows`` at a time,
+#: which bounds the arrays of a batched solve.
+_WINDOW_CHUNK = 1024
 
 #: The positioning data produced by the controller: deterministic records,
 #: probabilistic records, or proximity detection periods.
@@ -166,23 +170,24 @@ class PositioningMethodController:
         return list(self.iter_generate(rssi_records))
 
     def iter_generate(self, rssi_records: Sequence[RSSIRecord]):
-        """Yield positioning records one observation window at a time.
+        """Yield positioning records in window order, a chunk of windows at a time.
 
         Streaming counterpart of :meth:`generate`: estimates are produced as
-        each window is processed instead of after the whole dataset, so a
-        consumer (e.g. the streaming pipeline's bounded-flush writer) never
-        needs the full positioning output in memory.  Proximity detection
-        inherently spans the record stream, so it yields its detection
-        periods once computed.
+        each chunk of :data:`_WINDOW_CHUNK` windows is solved instead of
+        after the whole dataset, so a consumer (e.g. the streaming pipeline's
+        bounded-flush writer) never needs the full positioning output in
+        memory.  Proximity detection inherently spans the record stream, so
+        it yields its detection periods once computed.
         """
         method = self.build_method()
         if isinstance(method, ProximityMethod):
             yield from method.detect(rssi_records)
             return
-        for window in build_windows(rssi_records, self.config.sampling_period):
-            estimate = method.estimate_window(window)
-            if estimate is not None:
-                yield estimate
+        windows = build_windows(rssi_records, self.config.sampling_period)
+        for start in range(0, len(windows), _WINDOW_CHUNK):
+            for estimate in method.estimate_windows(windows[start:start + _WINDOW_CHUNK]):
+                if estimate is not None:
+                    yield estimate
 
 
 __all__ = ["PositioningConfig", "PositioningMethodController", "PositioningOutput"]

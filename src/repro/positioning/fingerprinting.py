@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,6 +60,38 @@ MISSING_RSSI_DBM = -100.0
 _RERANK_SLACK = 1e-9
 
 
+class SurveyStd(Mapping):
+    """Per-device RSSI standard deviation of one reference's survey samples,
+    each computed on its first read.
+
+    The value is ``statistics.pstdev`` of the device's samples (0.0 for a
+    single sample).  ``pstdev`` is exact and slow (it sums in ``Fraction``
+    arithmetic), and only the Naive-Bayes method reads the deviations, so a
+    survey does not pay for them up front.
+    """
+
+    def __init__(self, samples: Dict[DeviceId, List[float]]) -> None:
+        self._samples = samples
+        self._values: Dict[DeviceId, float] = {}
+
+    def __getitem__(self, device_id: DeviceId) -> float:
+        value = self._values.get(device_id)
+        if value is None:
+            values = self._samples[device_id]
+            value = statistics.pstdev(values) if len(values) > 1 else 0.0
+            self._values[device_id] = value
+        return value
+
+    def __iter__(self) -> Iterator[DeviceId]:
+        return iter(self._samples)
+
+    def __len__(self) -> int:
+        return len(self._samples)
+
+    def __repr__(self) -> str:
+        return f"SurveyStd({dict(self)!r})"
+
+
 @dataclass
 class ReferenceLocation:
     """One surveyed reference location of the radio map."""
@@ -68,8 +101,9 @@ class ReferenceLocation:
     partition_id: Optional[str] = None
     #: Mean RSSI per device observed during the site survey.
     mean_rssi: Dict[DeviceId, float] = field(default_factory=dict)
-    #: RSSI standard deviation per device (floored to a minimum by the users).
-    std_rssi: Dict[DeviceId, float] = field(default_factory=dict)
+    #: RSSI standard deviation per device (floored to a minimum by the users);
+    #: a surveyed reference holds a :class:`SurveyStd`.
+    std_rssi: Mapping = field(default_factory=dict)
 
     def signal_distance(self, observation: Dict[DeviceId, float]) -> float:
         """Euclidean distance in signal space between this reference and *observation*.
@@ -141,10 +175,7 @@ class RadioMap:
                     device_id: statistics.fmean(values)
                     for device_id, values in observations.items()
                 },
-                std_rssi={
-                    device_id: statistics.pstdev(values) if len(values) > 1 else 0.0
-                    for device_id, values in observations.items()
-                },
+                std_rssi=SurveyStd(observations),
             )
             radio_map.add(reference)
         return radio_map
@@ -365,6 +396,7 @@ class NaiveBayesFingerprinting(_FingerprintingBase):
 
 __all__ = [
     "MISSING_RSSI_DBM",
+    "SurveyStd",
     "ReferenceLocation",
     "RadioMap",
     "KNNFingerprinting",

@@ -15,8 +15,18 @@ from repro.core.config import (
     config_from_json,
 )
 from repro.core.errors import ConfigurationError
+from repro.core.pipeline import VitaPipeline
 from repro.core.toolkit import Vita
 from repro.core.types import DeviceType, PositioningMethod
+from repro.storage.repositories import DataWarehouse
+
+
+def _trajectory_rows(db_path) -> int:
+    warehouse = DataWarehouse.open("sqlite", path=str(db_path))
+    try:
+        return warehouse.query("trajectory").count()
+    finally:
+        warehouse.close()
 
 
 class TestSectionValidation:
@@ -64,6 +74,58 @@ class TestSectionValidation:
         vita.use_synthetic_building("clinic", floors=1)
         with pytest.raises(ConfigurationError, match="gaussian"):
             vita.generate_objects(count=2, duration=10, distribution="gaussian")
+        assert vita.simulation is None
+
+    @pytest.mark.parametrize(
+        "objects",
+        [
+            {"time_step": 0},
+            {"time_step": -0.25},
+            {"min_speed": 0},
+            {"min_speed": -1.0},
+            {"min_speed": 2.0, "max_speed": 1.0},
+            {"min_lifespan": 0},
+            {"min_lifespan": -5.0},
+            {"min_lifespan": 90.0, "max_lifespan": 60.0},
+            {"behavior": "sprint"},
+            {"intention": "teleport"},
+            {"crowd_interaction": "social-force"},
+        ],
+    )
+    def test_invalid_objects_fail_before_a_run_clears_its_warehouse(self, objects, tmp_path):
+        db_path = tmp_path / "run.sqlite"
+        payload = {
+            "environment": {"building": "office", "floors": 1},
+            "devices": [{"count_per_floor": 4}],
+            "objects": {"count": 3, "duration": 20, "time_step": 0.5},
+            "positioning": {"method": "trilateration"},
+            "storage": {"backend": "sqlite", "path": str(db_path)},
+            "seed": 4,
+        }
+        VitaPipeline(config_from_dict(payload)).run_streaming().warehouse.close()
+        stored = _trajectory_rows(db_path)
+        assert stored > 0
+        payload["objects"] = {**payload["objects"], **objects}
+        with pytest.raises(ConfigurationError):
+            VitaPipeline(config_from_dict(payload)).run_streaming()
+        assert _trajectory_rows(db_path) == stored
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"time_step": 0},
+            {"max_speed": 0},
+            {"max_speed": 0.5},  # below the default min_speed
+            {"min_lifespan": 0},
+            {"min_lifespan": 90.0, "max_lifespan": 60.0},
+            {"behavior": "sprint"},
+        ],
+    )
+    def test_invalid_objects_are_rejected_by_the_step_path(self, options):
+        vita = Vita(seed=1)
+        vita.use_synthetic_building("clinic", floors=1)
+        with pytest.raises(ConfigurationError):
+            vita.generate_objects(count=2, duration=10, **options)
         assert vita.simulation is None
 
     def test_top_level_seed_propagates(self):

@@ -8,6 +8,8 @@ rounded to 1e-6 so the constants do not depend on last-bit arithmetic.
 """
 
 import hashlib
+from collections import defaultdict
+from dataclasses import astuple
 
 from repro.core.config import (
     DeviceConfig,
@@ -45,6 +47,15 @@ def warehouse_digest(warehouse):
             hasher.update(repr(_rounded(row)).encode("utf-8"))
         result[dataset] = (len(rows), hasher.hexdigest()[:16])
     return result
+
+
+def snapshots_digest(snapshots):
+    """sha256 of the rounded ``{t: {object_id: location}}`` snapshots."""
+    rounded = _rounded({
+        t: {object_id: astuple(location) for object_id, location in positions.items()}
+        for t, positions in snapshots.items()
+    })
+    return hashlib.sha256(repr(rounded).encode("utf-8")).hexdigest()[:16]
 
 
 #: Both constants were computed while the materialising ``VitaPipeline.run()``
@@ -143,3 +154,81 @@ def test_obstacle_floor_matches_its_golden_digest():
         "fingerprinting", sampling_period=5.0, radio_map_spacing=6.0, radio_map_samples=3
     )
     assert warehouse_digest(vita.warehouse) == OBSTACLE_GOLDEN
+
+
+#: A two-floor streaming trilateration run.  Most objects change floor, so
+#: staircase legs of the tick loop and two-floor windows of the batched
+#: trilateration solve are pinned.
+TWO_FLOOR_TRILATERATION_GOLDEN = {
+    "device": (12, "f225b894494f8002"),
+    "trajectory": (968, "77379fb0e3dcd898"),
+    "rssi": (2045, "7c86d11f43caaa47"),
+    "positioning": (200, "4f50f6fc1035d005"),
+    "probabilistic": (0, "e3b0c44298fc1c14"),
+    "proximity": (0, "e3b0c44298fc1c14"),
+}
+
+#: A two-floor step run with every non-default mobility strategy (random-way
+#: intention, variable speed, time routing, density slowdown), position
+#: snapshots and Naive-Bayes fingerprinting, which reads ``std_rssi``.
+CROWD_BAYES_GOLDEN = {
+    "device": (10, "69dd9642d108158c"),
+    "trajectory": (327, "cc51a06e1880d69e"),
+    "rssi": (625, "e1291cb1dafda01c"),
+    "positioning": (0, "e3b0c44298fc1c14"),
+    "probabilistic": (67, "c148f10d620aeac4"),
+    "proximity": (0, "e3b0c44298fc1c14"),
+}
+CROWD_BAYES_SNAPSHOTS = "d8a0e133c5dc198e"
+
+
+def test_two_floor_trilateration_run_matches_its_golden_digest():
+    config = VitaConfig(
+        environment=EnvironmentConfig(building="office", floors=2),
+        devices=[DeviceConfig(count_per_floor=6)],
+        objects=ObjectConfig(
+            count=8, duration=120.0, min_lifespan=120.0, max_lifespan=120.0
+        ),
+        rssi=RSSIConfig(sampling_period=2.0),
+        positioning=PositioningLayerConfig(
+            method=PositioningMethod.TRILATERATION, sampling_period=5.0
+        ),
+        seed=37,
+        shards=2,
+    )
+    result = VitaPipeline(config).run_streaming(workers=1)
+    floors = defaultdict(set)
+    for row in result.warehouse.query("trajectory").all():
+        floors[row["object_id"]].add(row["floor_id"])
+    assert any(len(visited) > 1 for visited in floors.values())
+    assert warehouse_digest(result.warehouse) == TWO_FLOOR_TRILATERATION_GOLDEN
+
+
+def test_crowd_step_run_with_bayes_matches_its_golden_digest():
+    vita = Vita(seed=43)
+    vita.use_synthetic_building("office", floors=2)
+    vita.deploy_devices("wifi", count_per_floor=5)
+    simulation = vita.generate_objects(
+        count=8,
+        duration=60.0,
+        time_step=0.5,
+        min_lifespan=30.0,
+        max_lifespan=60.0,
+        distribution="crowd-outliers",
+        intention="random-way",
+        behavior="variable-speed",
+        routing="time",
+        crowd_interaction="density-slowdown",
+        snapshot_times=[15, 45],
+    )
+    vita.generate_rssi(sampling_period=2.0)
+    vita.generate_positioning(
+        "fingerprinting",
+        algorithm="bayes",
+        sampling_period=5.0,
+        radio_map_spacing=6.0,
+        radio_map_samples=3,
+    )
+    assert warehouse_digest(vita.warehouse) == CROWD_BAYES_GOLDEN
+    assert sorted(simulation.snapshots) == [15, 45]
+    assert snapshots_digest(simulation.snapshots) == CROWD_BAYES_SNAPSHOTS
