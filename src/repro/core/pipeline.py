@@ -283,81 +283,84 @@ class VitaPipeline:
             if warehouse is None:
                 warehouse = DataWarehouse.from_config(config.storage)
             warehouse.attach_metrics(telemetry.metrics)
-            # A run owns its warehouse: reusing an existing database replaces
-            # its contents, so the summary always describes this run.
-            warehouse.clear()
-            plan = plan_shards(config.objects.count, shard_count, master_seed)
-            writer = StreamingWriter(
-                warehouse,
-                flush_every,
-                progress,
-                record_hook=engine.writer_hook() if engine is not None else None,
-                telemetry=telemetry,
-            )
-            writer.set_context(None, len(plan), 0)
-            writer.write("devices", device_controller.device_records())
-            writer.emit("devices")
+            # A run only writes until its end, so it loads as one bulk load
+            # (SQLite builds its secondary indexes once, when the scope ends).
+            with warehouse.bulk_load(tracer):
+                # A run owns its warehouse: reusing an existing database replaces
+                # its contents, so the summary always describes this run.
+                warehouse.clear()
+                plan = plan_shards(config.objects.count, shard_count, master_seed)
+                writer = StreamingWriter(
+                    warehouse,
+                    flush_every,
+                    progress,
+                    record_hook=engine.writer_hook() if engine is not None else None,
+                    telemetry=telemetry,
+                )
+                writer.set_context(None, len(plan), 0)
+                writer.write("devices", device_controller.device_records())
+                writer.emit("devices")
 
-            context = ShardContext(
-                config=config,
-                building=building,
-                devices=devices,
-                radio_map=radio_map,
-                master_seed=master_seed,
-                spatial=spatial,
-            )
-            objects_done = 0
-            sample_ticks = itertools.count(1)
+                context = ShardContext(
+                    config=config,
+                    building=building,
+                    devices=devices,
+                    radio_map=radio_map,
+                    master_seed=master_seed,
+                    spatial=spatial,
+                )
+                objects_done = 0
+                sample_ticks = itertools.count(1)
 
-            def on_shard_start(shard) -> None:
-                writer.set_context(shard.shard_id, len(plan), objects_done)
-                writer.emit("shard-start")
+                def on_shard_start(shard) -> None:
+                    writer.set_context(shard.shard_id, len(plan), objects_done)
+                    writer.emit("shard-start")
 
-            def on_sample(_record) -> None:
-                # Serial-mode heartbeat: report rates while a long shard simulates.
-                if next(sample_ticks) % 2000 == 0:
-                    writer.emit("objects")
+                def on_sample(_record) -> None:
+                    # Serial-mode heartbeat: report rates while a long shard simulates.
+                    if next(sample_ticks) % 2000 == 0:
+                        writer.emit("objects")
 
-            shards_start = time.perf_counter()
-            for output in iter_shard_outputs(
-                context,
-                plan,
-                workers,
-                on_sample=on_sample if progress is not None else None,
-                on_shard_start=on_shard_start,
-            ):
-                writer.set_context(output.shard_id, len(plan), objects_done)
-                if engine is not None:
-                    # Each shard's records accumulate into a per-shard partial
-                    # window state, merged (and alert-drained) in shard order —
-                    # the outputs arrive shard-ordered for any workers value, so
-                    # monitor emission is identical to a serial run.
-                    engine.begin_shard(output.shard_id)
-                writer.write("trajectories", output.rows.get("trajectory", ()))
-                writer.write("rssi", output.rows.get("rssi", ()))
-                writer.write_positioning(output.rows)
-                if engine is not None:
-                    engine.end_shard()
-                objects_done += output.objects
-                # Per-layer shard timings are summed across shards: CPU seconds,
-                # not wall-clock (with workers > 1 they exceed elapsed time).
-                # The "_cpu" suffix keeps them distinct from the wall-clock
-                # "infrastructure"/"generation" entries.
-                for name, value in output.timings.items():
-                    key = f"{name}_cpu"
-                    timings[key] = timings.get(key, 0.0) + value
-                # Shard telemetry merges exactly like spatial_stats: per-shard
-                # deltas folded in shard order, so the merged counters are
-                # identical for every workers value.
-                telemetry.metrics.merge(output.metrics)
-                tracer.adopt(output.spans, parent=root_span)
-                merge_stats(cache_stats, output.spatial_stats)
-                writer.cache_stats = dict(cache_stats)
-                writer.set_context(output.shard_id, len(plan), objects_done)
-                writer.emit("shard-done")
-            timings["generation"] = time.perf_counter() - shards_start
+                shards_start = time.perf_counter()
+                for output in iter_shard_outputs(
+                    context,
+                    plan,
+                    workers,
+                    on_sample=on_sample if progress is not None else None,
+                    on_shard_start=on_shard_start,
+                ):
+                    writer.set_context(output.shard_id, len(plan), objects_done)
+                    if engine is not None:
+                        # Each shard's records accumulate into a per-shard partial
+                        # window state, merged (and alert-drained) in shard order —
+                        # the outputs arrive shard-ordered for any workers value, so
+                        # monitor emission is identical to a serial run.
+                        engine.begin_shard(output.shard_id)
+                    writer.write("trajectories", output.rows.get("trajectory", ()))
+                    writer.write("rssi", output.rows.get("rssi", ()))
+                    writer.write_positioning(output.rows)
+                    if engine is not None:
+                        engine.end_shard()
+                    objects_done += output.objects
+                    # Per-layer shard timings are summed across shards: CPU seconds,
+                    # not wall-clock (with workers > 1 they exceed elapsed time).
+                    # The "_cpu" suffix keeps them distinct from the wall-clock
+                    # "infrastructure"/"generation" entries.
+                    for name, value in output.timings.items():
+                        key = f"{name}_cpu"
+                        timings[key] = timings.get(key, 0.0) + value
+                    # Shard telemetry merges exactly like spatial_stats: per-shard
+                    # deltas folded in shard order, so the merged counters are
+                    # identical for every workers value.
+                    telemetry.metrics.merge(output.metrics)
+                    tracer.adopt(output.spans, parent=root_span)
+                    merge_stats(cache_stats, output.spatial_stats)
+                    writer.cache_stats = dict(cache_stats)
+                    writer.set_context(output.shard_id, len(plan), objects_done)
+                    writer.emit("shard-done")
+                timings["generation"] = time.perf_counter() - shards_start
 
-            warehouse.flush()
+                warehouse.flush()
             with tracer.span("finalize"):
                 live_report = engine.finalize() if engine is not None else None
             elapsed = time.perf_counter() - run_start

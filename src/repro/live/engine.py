@@ -17,10 +17,12 @@ Four structural ideas keep this both fast and deterministic:
 * **Shared window assignment** — monitors are grouped by
   ``(dataset, window, slide)``; each record's set of overlapping windows
   (its *pane*) is found once per group and shared by every monitor in it.
-* **Per-shard partials** — window aggregates accumulate in a
-  :class:`ShardPartial` (sets, counts, minima — all commutative merges) that
-  folds into the global window states *in shard order*, making ``workers=N``
-  emission identical to serial by construction.  The per-object state
+* **Per-shard partials** — aggregates accumulate in a :class:`ShardPartial`
+  (sets, counts, minima — all commutative merges) that folds into the global
+  window states *in shard order*, making ``workers=N`` emission identical to
+  serial by construction.  The distinct-object sets of density and visit
+  counts are kept per pane in the partial and expanded into the pane's
+  windows at the merge, one set union per window.  The per-object state
   machines flow and geofence monitors need live on the monitor runtime:
   feeding is strictly sequential in shard order and no object spans two
   shards (the PR 3 partition is by object), so the machines see each
@@ -175,10 +177,12 @@ class LiveReport:
 class _MonitorState:
     """The per-shard incremental window state of one monitor.
 
-    ``windows`` maps a window index to the monitor-kind-specific partial
-    aggregate.  Every aggregate merges commutatively, so the shard-ordered
-    merge gives the same totals as any other order — shard order is kept
-    anyway so *alert* sequences are deterministic too.
+    ``windows`` maps a pane (density: its object set; visit counts: partition
+    -> object set) or, for the other kinds, a window index to the
+    monitor-kind-specific partial aggregate.  Every aggregate merges
+    commutatively, so the shard-ordered merge gives the same totals as any
+    other order — shard order is kept anyway so *alert* sequences are
+    deterministic too.
     """
 
     __slots__ = ("windows", "events", "matched")
@@ -262,9 +266,11 @@ def _has_point(x: Any, y: Any) -> bool:
 class _Runtime:
     """One subscribed monitor: its plan plus the evaluation strategy."""
 
-    def __init__(self, name: str, plan: MonitorPlan, spatial: Any = None) -> None:
+    def __init__(self, name: str, plan: MonitorPlan, panes: _Panes, spatial: Any = None) -> None:
         self.name = name
         self.plan = plan
+        #: The panes of the monitor's ``(window, slide)`` group.
+        self.panes = panes
         self.records_matched = 0
         self.dropped_alerts = 0
         self.global_windows: Dict[int, Any] = {}
@@ -348,13 +354,12 @@ class _Runtime:
             mask = _narrow(mask, passes, batch.rows)
         return mask
 
-    def absorb(self, state: _MonitorState, batch: _Batch, panes: List[int],
-               pane_indices: List[Tuple[int, ...]]) -> None:
+    def absorb(self, state: _MonitorState, batch: _Batch, panes: List[int]) -> None:
         """Fold a batch into the shard-local aggregates, one column loop.
 
-        *panes* is the batch's pane column and *pane_indices* maps a pane to
-        its window indices.  Rows are visited in batch order, which the
-        per-object state machines (flow, geofence) rely on.
+        *panes* is the batch's pane column (numbers of :attr:`panes`).  Rows
+        are visited in batch order, which the per-object state machines
+        (flow, geofence) rely on.
         """
         mask = self.selection(batch)
 
@@ -368,20 +373,19 @@ class _Runtime:
         state.matched += len(objects)
         kind = self.plan.kind
         windows = state.windows
+        pane_indices = self.panes.indices
         if kind == "density":
             fresh = set(zip(panes, objects)).difference(self.pane_gate)
             self.pane_gate |= fresh
             for pane, object_id in fresh:
-                for index in pane_indices[pane]:
-                    windows.setdefault(index, set()).add(object_id)
+                windows.setdefault(pane, set()).add(object_id)
         elif kind == "visit_counts":
             partitions = column(batch.column("partition_id"))
             keys = compress(zip(panes, objects, partitions), partitions)
             fresh = set(keys).difference(self.pane_gate)
             self.pane_gate |= fresh
             for pane, object_id, partition in fresh:
-                for index in pane_indices[pane]:
-                    windows.setdefault(index, {}).setdefault(partition, set()).add(object_id)
+                windows.setdefault(pane, {}).setdefault(partition, set()).add(object_id)
         elif kind == "knn":
             self._absorb_knn(windows, objects, panes, pane_indices,
                              column(batch.column("x")), column(batch.column("y")))
@@ -443,33 +447,49 @@ class _Runtime:
         """Fold a shard partial into the global state; returns its alerts."""
         kind = self.plan.kind
         self.records_matched += state.matched
-        for index, partial in state.windows.items():
-            current = self.global_windows.get(index)
-            if kind == "density":
-                if current is None:
-                    self.global_windows[index] = set(partial)
-                else:
-                    current |= partial
-            elif kind == "visit_counts":
-                if current is None:
-                    current = self.global_windows[index] = {}
-                for partition, objects in partial.items():
-                    current.setdefault(partition, set()).update(objects)
-            elif kind == "knn":
-                if current is None:
-                    current = self.global_windows[index] = {}
-                for object_id, distance in partial.items():
-                    previous = current.get(object_id)
-                    if previous is None or distance < previous:
-                        current[object_id] = distance
-            elif kind == "flow":
-                self.global_windows[index] = (current or 0) + partial
-            elif kind == "geofence":
-                if current is None:
-                    current = self.global_windows[index] = []
-                current.extend(partial)
+        if kind == "density" or kind == "visit_counts":
+            self._merge_panes(state.windows)
+        else:
+            for index, partial in state.windows.items():
+                current = self.global_windows.get(index)
+                if kind == "knn":
+                    if current is None:
+                        current = self.global_windows[index] = {}
+                    for object_id, distance in partial.items():
+                        previous = current.get(object_id)
+                        if previous is None or distance < previous:
+                            current[object_id] = distance
+                elif kind == "flow":
+                    self.global_windows[index] = (current or 0) + partial
+                elif kind == "geofence":
+                    if current is None:
+                        current = self.global_windows[index] = []
+                    current.extend(partial)
         self.global_events.extend(state.events)
         return state.events
+
+    def _merge_panes(self, partials: Dict[int, Any]) -> None:
+        """Expand pane-keyed partials into the pane's windows: density's object
+        set, or visit counts' partition -> object set, one union per window."""
+        windows = self.global_windows
+        density = self.plan.kind == "density"
+        for pane, partial in partials.items():
+            for index in self.panes.indices[pane]:
+                current = windows.get(index)
+                if density:
+                    if current is None:
+                        windows[index] = set(partial)
+                    else:
+                        current |= partial
+                    continue
+                if current is None:
+                    current = windows[index] = {}
+                for partition, objects in partial.items():
+                    known = current.get(partition)
+                    if known is None:
+                        current[partition] = set(objects)
+                    else:
+                        known |= objects
 
     def window_value(self, index: int) -> Any:
         """The finalized, deterministic value of window *index*."""
@@ -587,12 +607,12 @@ class LiveEngine:
         while name in self._runtimes:
             name = f"{base}#{serial}"
             serial += 1
-        runtime = _Runtime(name, plan, spatial=self._spatial)
-        self._runtimes[name] = runtime
         window, slide = plan.window, plan.slide_seconds
-        self._groups.setdefault((plan.dataset, window, slide), []).append(runtime)
         if (window, slide) not in self._panes:
             self._panes[(window, slide)] = _Panes(window, slide)
+        runtime = _Runtime(name, plan, self._panes[(window, slide)], spatial=self._spatial)
+        self._runtimes[name] = runtime
+        self._groups.setdefault((plan.dataset, window, slide), []).append(runtime)
         return name
 
     @property
@@ -658,8 +678,7 @@ class LiveEngine:
             for panes, runtimes in groups:
                 pane_column = list(map(panes.__getitem__, times))
                 for runtime in runtimes:
-                    runtime.absorb(partial.states[runtime.name], batch, pane_column,
-                                   panes.indices)
+                    runtime.absorb(partial.states[runtime.name], batch, pane_column)
         partial.records += count
         self.records_seen += count
         if count and self._first_feed is None:

@@ -162,10 +162,8 @@ class RadioMap:
     ) -> "RadioMap":
         """Simulate the site survey at explicit reference points."""
         radio_map = cls()
-        for floor_id, point in reference_points:
-            observations = generator.collect_fingerprint(
-                floor_id, point, samples=samples_per_location
-            )
+        fingerprints = generator.collect_fingerprints(reference_points, samples_per_location)
+        for (floor_id, point), observations in zip(reference_points, fingerprints):
             partition = building.floor(floor_id).partition_at(point)
             reference = ReferenceLocation(
                 floor_id=floor_id,

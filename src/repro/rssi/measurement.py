@@ -10,13 +10,17 @@ The same machinery also "collects fingerprints": generating repeated
 measurements for a stationary reference location is exactly what the
 fingerprinting radio-map construction of Section 3.3 (2) requires.
 
-Every entry point (a whole trajectory, one position, one device, one survey
-point) goes through one path.  It first finds, per sample, the devices in
-range in deployment order.  It then counts the walls and obstacles crossed by
-all those sight lines, device by device, in numpy passes
-(:class:`~repro.geometry.line_of_sight.SightFan`).  Last, a plain loop draws
-the packet loss of every device in range and the fluctuation noise of every
-kept packet, in that order, so a seed always yields the same records.
+Every entry point (a chunk of trajectories, one position, one device, the
+survey points) goes through one path.  The noiseless pass
+(:meth:`RSSIGenerator._noiseless`) takes all of a chunk's samples at once.
+Floor by floor, and per floor device by device in deployment order, it finds
+the samples in the device's range, counts the walls and obstacles their sight
+lines cross in one numpy pass
+(:class:`~repro.geometry.line_of_sight.SightFan`), and evaluates the path
+loss and ``Nob`` as arrays.  It draws no random number.  Then a plain loop,
+sample by sample in order, draws the packet loss of every device in range
+(in deployment order) and the fluctuation noise of every kept packet, so a
+seed always yields the same records, however the samples were chunked.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ import random
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.building.model import Building
 from repro.core.errors import ConfigurationError
@@ -39,6 +45,15 @@ from repro.spatial import SpatialService
 
 #: Per floor, ``(device, position, reach)`` in deployment order.
 _ReachTable = Dict[FloorId, List[Tuple[PositioningDevice, Point, float]]]
+
+#: One sampled trajectory: its object id, sampling times and ``(floor_id, x, y)``
+#: samples.
+_Sampled = Tuple[str, List[Timestamp], List[Tuple[FloorId, float, float]]]
+
+#: Samples :meth:`RSSIGenerator.iter_generate` measures in one noiseless pass:
+#: a chunk takes whole trajectories until it holds at least this many, so it
+#: exceeds the bound by less than one trajectory's samples.
+_SAMPLE_CHUNK = 2048
 
 
 @dataclass
@@ -119,53 +134,58 @@ class RSSIGenerator:
         """Per sample ``(floor_id, x, y)``: the devices of *table* (default:
         all of this generator's) in range, in deployment order, each with its
         RSSI before fluctuation noise (path loss plus ``Nob``).  Draws no
-        random number."""
+        random number.
+
+        Every value is the float the one-sample arithmetic gives: the
+        distance is ``math.hypot`` of ``position - sample`` per element, the
+        range test ``distance <= reach``, and the sight fan counts each sight
+        line on its own, so the batch's composition changes nothing.
+        """
         table = self._reach if table is None else table
-        pairs: List[tuple] = []  # (reach-table entry, distance)
-        xs: List[float] = []
-        ys: List[float] = []
-        bounds: List[Tuple[int, int]] = []
-        by_entry: Dict[int, List[int]] = {}  # id(entry) -> its pairs
-        for floor_id, x, y in samples:
-            first = len(pairs)
-            for entry in table.get(floor_id, ()):
-                position = entry[1]
-                # Point.distance_to's arithmetic: the same distance as
-                # measuring this one pair on its own.
-                distance = math.hypot(position.x - x, position.y - y)
-                if distance <= entry[2]:
-                    by_entry.setdefault(id(entry), []).append(len(pairs))
-                    pairs.append((entry, distance))
-                    xs.append(x)
-                    ys.append(y)
-            bounds.append((first, len(pairs)))
-        values = [0.0] * len(pairs)
+        found: List[List[Tuple[PositioningDevice, float]]] = [[] for _ in samples]
+        by_floor: Dict[FloorId, List[int]] = {}
+        for index, sample in enumerate(samples):
+            by_floor.setdefault(sample[0], []).append(index)
         noise = self.config.obstacle_noise
-        for members in by_entry.values():
-            device, position, device_reach = pairs[members[0]][0]
-            fan = self.spatial.sight_fan(device.floor_id, position, device_reach)
-            walls, obstacles = fan.crossings([xs[i] for i in members], [ys[i] for i in members])
-            model = self._models[device.device_id]
-            for index, wall_count, obstacle_count in zip(members, walls, obstacles):
-                values[index] = model.rssi_at(pairs[index][1]) + noise.attenuation_from_counts(
-                    wall_count, obstacle_count
+        for floor_id, members in by_floor.items():
+            entries = table.get(floor_id)
+            if not entries:
+                continue
+            xs = np.array([samples[index][1] for index in members], dtype=float)
+            ys = np.array([samples[index][2] for index in members], dtype=float)
+            for device, position, reach in entries:
+                distances = np.fromiter(
+                    map(math.hypot, (position.x - xs).tolist(), (position.y - ys).tolist()),
+                    dtype=float,
+                    count=len(members),
                 )
-        return [
-            [(pairs[index][0][0], values[index]) for index in range(first, last)]
-            for first, last in bounds
-        ]
+                in_range = np.flatnonzero(distances <= reach)
+                if not len(in_range):
+                    continue
+                fan = self.spatial.sight_fan(device.floor_id, position, reach)
+                walls, obstacles = fan.crossings(xs[in_range], ys[in_range])
+                values = self._models[device.device_id].rssi_batch(distances[in_range])
+                values += noise.attenuation_batch(walls, obstacles)
+                for row, value in zip(in_range.tolist(), values.tolist()):
+                    found[members[row]].append((device, value))
+        return found
 
     def _draw(
         self, noiseless: Sequence[Tuple[PositioningDevice, float]]
     ) -> List[Tuple[PositioningDevice, float]]:
         """One sampling round: packet loss for every device in range, then
         fluctuation noise for every kept packet."""
-        kept: List[Tuple[PositioningDevice, float]] = []
-        for device, value in noiseless:
-            if self.rng.random() > self.config.detection_probability:
-                continue
-            kept.append((device, value + self.config.fluctuation_noise.sample(self.rng)))
-        return kept
+        rng = self.rng
+        loss = rng.random
+        sample = self.config.fluctuation_noise.sample
+        probability = self.config.detection_probability
+        # The condition runs before the value, row by row: one loss draw per
+        # device, then one fluctuation draw per kept packet, in order.
+        return [
+            (device, value + sample(rng))
+            for device, value in noiseless
+            if loss() <= probability
+        ]
 
     def _records(
         self, noiseless: Sequence[Tuple[PositioningDevice, float]], object_id: str, t: Timestamp
@@ -203,38 +223,55 @@ class RSSIGenerator:
     # ------------------------------------------------------------------ #
     # Trajectory-driven generation
     # ------------------------------------------------------------------ #
-    def iter_trajectory_records(self, trajectory) -> Iterator[RSSIRecord]:
-        """Raw RSSI records of one trajectory, in sampling-time order.
-
-        The building block of both :meth:`generate` (which collects and
-        globally sorts) and :meth:`iter_generate` (which streams without
-        materialising the full dataset).
-        """
-        if trajectory.is_empty:
-            return
+    def _sample(self, trajectory) -> _Sampled:
+        """The RSSI sampling rounds of one trajectory: its times and positions."""
         times: List[Timestamp] = []
         samples: List[Tuple[FloorId, float, float]] = []
-        period = self.config.sampling_period
-        t = trajectory.start_time
-        while t <= trajectory.end_time + 1e-9:
-            location = trajectory.location_at(min(t, trajectory.end_time))
-            if location is not None and location.has_point:
-                x, y = location.point()
-                times.append(round(t, 6))
-                samples.append((location.floor_id, x, y))
-            t += period
-        for t, noiseless in zip(times, self._noiseless(samples)):
-            yield from self._records(noiseless, trajectory.object_id, t)
+        if not trajectory.is_empty:
+            period = self.config.sampling_period
+            t = trajectory.start_time
+            while t <= trajectory.end_time + 1e-9:
+                location = trajectory.location_at(min(t, trajectory.end_time))
+                if location is not None and location.has_point:
+                    x, y = location.point()
+                    times.append(round(t, 6))
+                    samples.append((location.floor_id, x, y))
+                t += period
+        return trajectory.object_id, times, samples
+
+    def _chunk_records(self, chunk: Sequence[_Sampled]) -> Iterator[RSSIRecord]:
+        """The records of a chunk of sampled trajectories, in chunk order: one
+        noiseless pass over all their samples, then the draws sample by sample."""
+        noiseless = iter(self._noiseless([sample for _, _, samples in chunk for sample in samples]))
+        for object_id, times, _ in chunk:
+            for t in times:
+                yield from self._records(next(noiseless), object_id, t)
+
+    def iter_trajectory_records(self, trajectory) -> Iterator[RSSIRecord]:
+        """Raw RSSI records of one trajectory, in sampling-time order (a chunk
+        of one trajectory)."""
+        yield from self._chunk_records([self._sample(trajectory)])
 
     def iter_generate(self, trajectories: TrajectorySet) -> Iterator[RSSIRecord]:
         """Stream raw RSSI records trajectory by trajectory (bounded memory).
 
         Records arrive trajectory-major (every record of one object before
-        the next object), each object's records in time order.  Use
+        the next object), each object's records in time order.  Trajectories
+        are measured a chunk at a time (about ``_SAMPLE_CHUNK`` samples), so
+        each device's sight lines are counted once per chunk; the records and
+        the noise stream equal measuring one trajectory at a time.  Use
         :meth:`generate` when the globally time-sorted dataset is needed.
         """
+        chunk: List[_Sampled] = []
+        size = 0
         for trajectory in trajectories:
-            yield from self.iter_trajectory_records(trajectory)
+            sampled = self._sample(trajectory)
+            chunk.append(sampled)
+            size += len(sampled[2])
+            if size >= _SAMPLE_CHUNK:
+                yield from self._chunk_records(chunk)
+                chunk, size = [], 0
+        yield from self._chunk_records(chunk)
 
     def generate(self, trajectories: TrajectorySet) -> List[RSSIRecord]:
         """Raw RSSI data for every object, sampled at the RSSI sampling period."""
@@ -245,25 +282,40 @@ class RSSIGenerator:
     # ------------------------------------------------------------------ #
     # Fingerprint collection (site survey simulation)
     # ------------------------------------------------------------------ #
+    def collect_fingerprints(
+        self,
+        points: Sequence[Tuple[int, Point]],
+        samples: int = 10,
+    ) -> List[Dict[str, List[float]]]:
+        """Repeated measurements at stationary reference locations.
+
+        Per ``(floor_id, point)`` of *points*, in order: a mapping
+        ``device_id -> list of RSSI samples`` (devices that never observe the
+        location are omitted).  The points' sight lines are counted in one
+        noiseless pass; then each point draws its *samples* rounds, point by
+        point, so the result equals surveying the points one at a time.
+        """
+        if samples <= 0:
+            raise ConfigurationError("samples must be positive")
+        located = [(floor_id, point.x, point.y) for floor_id, point in points]
+        fingerprints: List[Dict[str, List[float]]] = []
+        for noiseless in self._noiseless(located):
+            observations: Dict[str, List[float]] = {}
+            for _ in range(samples):
+                for device, rssi in self._draw(noiseless):
+                    observations.setdefault(device.device_id, []).append(rssi)
+            fingerprints.append(observations)
+        return fingerprints
+
     def collect_fingerprint(
         self,
         floor_id: int,
         point: Point,
         samples: int = 10,
     ) -> Dict[str, List[float]]:
-        """Repeated measurements at a stationary reference location.
-
-        Returns a mapping ``device_id -> list of RSSI samples`` (devices that
-        never observe the location are omitted).
-        """
-        if samples <= 0:
-            raise ConfigurationError("samples must be positive")
-        # The survey point is stationary: its sight lines are counted once.
-        [noiseless] = self._noiseless([(floor_id, point.x, point.y)])
-        observations: Dict[str, List[float]] = {}
-        for _ in range(samples):
-            for device, rssi in self._draw(noiseless):
-                observations.setdefault(device.device_id, []).append(rssi)
+        """Repeated measurements at one stationary reference location (a
+        :meth:`collect_fingerprints` batch of one)."""
+        [observations] = self.collect_fingerprints([(floor_id, point)], samples)
         return observations
 
 

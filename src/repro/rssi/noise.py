@@ -17,6 +17,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.core.errors import ConfigurationError
 from repro.geometry.line_of_sight import analyze_sightline
 from repro.geometry.point import Point
@@ -52,13 +54,19 @@ class ObstacleNoiseModel:
 
     def attenuation_from_counts(self, wall_crossings: int, obstacle_crossings: int) -> float:
         """``Nob`` (a non-positive dB value) from crossing counts."""
-        total = (
-            wall_crossings * self.wall_attenuation_db
-            + obstacle_crossings * self.obstacle_attenuation_db
-        )
-        if wall_crossings + obstacle_crossings > 0:
-            total += self.non_line_of_sight_extra_db
-        return -min(total, self.max_attenuation_db)
+        return float(self.attenuation_batch([wall_crossings], [obstacle_crossings])[0])
+
+    def attenuation_batch(
+        self, wall_crossings: Sequence[int], obstacle_crossings: Sequence[int]
+    ) -> np.ndarray:
+        """``Nob`` of each sight line, from its wall and obstacle crossing counts:
+        the weighted crossings, plus the NLOS extra when any are crossed,
+        capped, negated."""
+        walls = np.asarray(wall_crossings)
+        obstacles = np.asarray(obstacle_crossings)
+        total = walls * self.wall_attenuation_db + obstacles * self.obstacle_attenuation_db
+        total = np.where(walls + obstacles > 0, total + self.non_line_of_sight_extra_db, total)
+        return -np.minimum(total, self.max_attenuation_db)
 
     def attenuation(
         self,

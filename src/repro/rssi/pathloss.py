@@ -17,6 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from repro.core.errors import ConfigurationError
 
@@ -43,8 +46,18 @@ class PathLossModel:
 
     def rssi_at(self, distance: float) -> float:
         """Noise-free RSSI (dBm) at transmission distance *distance* (metres)."""
-        distance = max(distance, MIN_TRANSMISSION_DISTANCE)
-        return -10.0 * self.exponent * math.log10(distance) + self.calibration_rssi
+        return float(self.rssi_batch([distance])[0])
+
+    def rssi_batch(self, distances: Sequence[float]) -> np.ndarray:
+        """Noise-free RSSI (dBm) at each of *distances* (metres).
+
+        ``math.log10`` runs element-wise (``np.log10`` may differ in the last
+        bit), so each value is exactly the float Python's
+        ``-10.0 * n * log10(d) + A`` gives.
+        """
+        clamped = np.maximum(np.asarray(distances, dtype=float), MIN_TRANSMISSION_DISTANCE)
+        logs = np.fromiter(map(math.log10, clamped.tolist()), dtype=float, count=len(clamped))
+        return (-10.0 * self.exponent) * logs + self.calibration_rssi
 
     def distance_from_rssi(self, rssi: float) -> float:
         """Invert the noise-free curve: distance (metres) producing *rssi*.

@@ -27,8 +27,9 @@ edge.
 from __future__ import annotations
 
 import abc
+import contextlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.errors import StorageError
 from repro.storage.plan import PlanExecution, QueryPlan, Row
@@ -235,6 +236,18 @@ class StorageBackend(abc.ABC):
     def close(self) -> None:
         """Flush and release engine resources."""
         self.flush()
+
+    @contextlib.contextmanager
+    def bulk_load(self, tracer: Any = None) -> Iterator[None]:
+        """A span of writes that no read needs until it ends.
+
+        An engine may defer index upkeep to the end of the scope (SQLite
+        builds its secondary indexes once, at the exit); *tracer*, an
+        :class:`~repro.obs.Tracer`, records that work as a span.  Reads
+        inside the scope stay correct, only slower.  This engine has
+        nothing to defer.
+        """
+        yield
 
     def clear_all(self) -> None:
         """Remove every row of every dataset."""

@@ -23,6 +23,8 @@ scans, a time index for range scans, and — for the datasets that embed a
 coordinate — a spatial grid-bucket index on ``(floor_id, cell_x, cell_y)``
 where ``cell_* = floor(coordinate / cell_size)``, so spatial range queries
 prefilter on integer buckets before the exact geometric predicate runs.
+Inside :meth:`SQLiteBackend.bulk_load` only the unique indexes are kept up to
+date row by row; the others are built once, when the scope ends.
 
 Every read is one compiled plan (:meth:`SQLiteBackend.execute_plan`).  The
 connection has no row factory, so its cursor yields plain tuples in the order
@@ -31,9 +33,11 @@ of the ``SELECT`` list, and a plan hands them to the planner as they are.
 
 from __future__ import annotations
 
+import contextlib
 import sqlite3
+import time
 from itertools import repeat
-from operator import floordiv
+from operator import add, floordiv
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -138,7 +142,9 @@ class SQLiteBackend(StorageBackend):
                 for column in self._physical_columns(spec.name)
             )
             cursor.execute(f"CREATE TABLE IF NOT EXISTS {spec.name} ({columns})")
-            for statement in self._index_statements(spec.name):
+            # Also what restores the secondary indexes of a file whose bulk
+            # load was killed before its end.
+            for _, statement in self._index_statements(spec.name):
                 cursor.execute(statement)
             if spec.unique_key:
                 try:
@@ -195,7 +201,9 @@ class SQLiteBackend(StorageBackend):
                 {"c": cell_size},
             )
 
-    def _index_statements(self, dataset: str) -> List[str]:
+    def _index_statements(self, dataset: str) -> List[Tuple[str, str]]:
+        """``(name, CREATE INDEX statement)`` of each secondary index of
+        *dataset*: every index but the unique key's."""
         spec = dataset_spec(dataset)
         indexes: List[Tuple[str, str]] = []
         time_column = spec.time_column
@@ -218,9 +226,54 @@ class SQLiteBackend(StorageBackend):
         if dataset == "proximity":
             indexes.append(("interval_end", "t_end"))
         return [
-            f"CREATE INDEX IF NOT EXISTS idx_{dataset}_{label} ON {dataset} ({columns})"
+            (f"idx_{dataset}_{label}",
+             f"CREATE INDEX IF NOT EXISTS idx_{dataset}_{label} ON {dataset} ({columns})")
             for label, columns in indexes
         ]
+
+    # ------------------------------------------------------------------ #
+    # Bulk load (secondary indexes built once, at the end)
+    # ------------------------------------------------------------------ #
+    @contextlib.contextmanager
+    def bulk_load(self, tracer: Any = None) -> Iterator[None]:
+        """Load with only the unique indexes in place; build the others once.
+
+        On entry the write buffers drain and every index
+        :meth:`_index_statements` declares is dropped.  The ``uq_*`` indexes
+        stay, so a duplicate key still fails its batch during the load.  On
+        exit, normal or by an exception, the buffers drain, every declared
+        index is built again and the transaction commits; *tracer* records
+        the build as a ``storage.build_indexes`` span.  A process killed
+        inside the scope leaves the file without those indexes, and the next
+        open builds them (:meth:`_create_schema` runs the same statements).
+        Indexes the schema no longer declares are left as they are.
+        """
+        self.flush()
+        for dataset in DATASETS:
+            for name, _ in self._index_statements(dataset):
+                self._connection.execute(f"DROP INDEX IF EXISTS {name}")
+        self._connection.commit()
+        try:
+            yield
+        finally:
+            if not self._closed:
+                try:
+                    self.flush()
+                finally:
+                    self._build_indexes(tracer)
+
+    def _build_indexes(self, tracer: Any) -> None:
+        start = time.perf_counter()
+        span = tracer.span("storage.build_indexes") if tracer is not None else None
+        with span or contextlib.nullcontext():
+            for dataset in DATASETS:
+                for _, statement in self._index_statements(dataset):
+                    self._connection.execute(statement)
+            self._connection.commit()
+        if self._metrics is not None:
+            self._metrics.histogram("storage.build_indexes_seconds").observe(
+                time.perf_counter() - start
+            )
 
     # ------------------------------------------------------------------ #
     # Write path (buffered executemany batches)
@@ -244,7 +297,9 @@ class SQLiteBackend(StorageBackend):
             )
         # By position: a column whose values all have its type already (the
         # generation path's rows) stays as it is; any other is coerced whole.
+        # A batch that needs no coercion is queued as the caller's tuples.
         values = list(zip(*batch))
+        coerced = False
         for position, (coerce, native) in enumerate(self._coercers[spec.name]):
             if not set(map(type, values[position])) <= native:
                 try:
@@ -253,9 +308,11 @@ class SQLiteBackend(StorageBackend):
                     for value in values[position]:
                         _coerce(columns[position], value)  # raises, naming the column
                     raise
+                coerced = True
+        queued = list(zip(*values)) if coerced else batch
         if spec.spatial:
-            values.extend(self._grid_cells(values[columns.index("x")], values[columns.index("y")]))
-        queued = list(zip(*values))
+            cells = self._grid_cells(values[columns.index("x")], values[columns.index("y")])
+            queued = list(map(add, queued, cells))
         pending = self._pending[spec.name]
         start = 0
         while start < len(queued):
@@ -267,20 +324,19 @@ class SQLiteBackend(StorageBackend):
         self._observe_insert(dataset, len(queued))
         return len(queued)
 
-    def _grid_cells(self, xs: Sequence[Any], ys: Sequence[Any]) -> Tuple[Sequence, Sequence]:
-        """The ``cell_x``/``cell_y`` columns of coerced coordinate columns
+    def _grid_cells(self, xs: Sequence[Any], ys: Sequence[Any]) -> List[Tuple[Any, Any]]:
+        """Per row, the ``(cell_x, cell_y)`` of coerced coordinate columns
         (both NULL where either coordinate is)."""
         size = self.cell_size
         if None in xs or None in ys:
-            cells = [
+            return [
                 (None, None) if x is None or y is None else (int(x // size), int(y // size))
                 for x, y in zip(xs, ys)
             ]
-            return tuple(zip(*cells))
-        return (
-            list(map(int, map(floordiv, xs, repeat(size)))),
-            list(map(int, map(floordiv, ys, repeat(size)))),
-        )
+        return list(zip(
+            map(int, map(floordiv, xs, repeat(size))),
+            map(int, map(floordiv, ys, repeat(size))),
+        ))
 
     def _drain(self, dataset: str) -> None:
         pending = self._pending[dataset]

@@ -33,7 +33,7 @@ order for the ``device`` dataset, which has no time column.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, ContextManager, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.errors import StorageError
 from repro.core.types import (
@@ -452,6 +452,11 @@ class DataWarehouse:
     def flush(self) -> None:
         """Make pending writes durable (no-op on the memory engine)."""
         self.backend.flush()
+
+    def bulk_load(self, tracer: Any = None) -> ContextManager[None]:
+        """The backend's bulk-load scope: a span of writes that no read needs
+        until it ends (see :meth:`StorageBackend.bulk_load`)."""
+        return self.backend.bulk_load(tracer)
 
     def close(self) -> None:
         """Flush and release the backend's resources."""

@@ -8,6 +8,8 @@ using these fixtures.
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
 from repro.building.model import Building
@@ -83,3 +85,24 @@ def office_rssi(office, office_wifi, office_simulation):
         office, office_wifi, RSSIGenerationConfig(sampling_period=2.0, seed=31)
     )
     return generator.generate(office_simulation.trajectories)
+
+
+@pytest.fixture(scope="session")
+def index_layout():
+    """``layout(path)``: index name -> (table, indexed columns) of the SQLite
+    file at *path*, read through a plain connection of its own."""
+
+    def layout(path):
+        connection = sqlite3.connect(str(path))
+        try:
+            names = connection.execute(
+                "SELECT name, tbl_name FROM sqlite_master WHERE type = 'index'"
+            ).fetchall()
+            return {
+                name: (table, [row[2] for row in connection.execute(f"PRAGMA index_info({name})")])
+                for name, table in names
+            }
+        finally:
+            connection.close()
+
+    return layout

@@ -259,6 +259,130 @@ class TestHandOff:
 
 
 # --------------------------------------------------------------------------- #
+# The run as one bulk load
+# --------------------------------------------------------------------------- #
+class _RecordingConnection:
+    """A connection that keeps every SELECT it runs, with its parameters."""
+
+    def __init__(self, connection):
+        self.connection = connection
+        self.selects = []
+
+    def execute(self, sql, parameters=()):
+        if sql.lstrip().upper().startswith("SELECT"):
+            self.selects.append((sql, tuple(parameters)))
+        return self.connection.execute(sql, parameters)
+
+    def __getattr__(self, name):
+        return getattr(self.connection, name)
+
+
+#: The builder query shapes of the benchmark's read mix, over a clinic run.
+READ_MIX_SHAPES = {
+    "object_track": lambda w: w.query("trajectory").where(object_id="obj_0001").all(),
+    "time_window_count": lambda w: w.query("trajectory").during(5.0, 25.0).count(),
+    "floor_window_limit": lambda w: (
+        w.query("trajectory").during(5.0, 35.0).on_floor(0).limit(50).all()
+    ),
+    "region_window": lambda w: (
+        w.query("trajectory").on_floor(0).within((2.0, 2.0, 12.0, 12.0)).during(5.0, 25.0).all()
+    ),
+    "device_rssi_stats": lambda w: w.query("rssi").where(device_id="ap_001").stats("rssi"),
+    "partition_count_by": lambda w: (
+        w.query("trajectory").during(5.0, 35.0).count_by("partition_id", distinct="object_id")
+    ),
+    "snapshot": lambda w: w.query("trajectory").snapshot(20.0, tolerance=1.0),
+    "knn": lambda w: w.query("trajectory").on_floor(0).knn(8.0, 6.0, 20.0, k=5),
+}
+
+
+def _query_plans(path, monkeypatch):
+    """Per read-mix shape, its answer and the ``EXPLAIN QUERY PLAN`` of each
+    SELECT it runs on the SQLite file at *path*."""
+    plans = {}
+    with DataWarehouse.open("sqlite", path=str(path)) as warehouse:
+        connection = warehouse.backend._connection
+        for kind, run in READ_MIX_SHAPES.items():
+            recording = _RecordingConnection(connection)
+            monkeypatch.setattr(warehouse.backend, "_connection", recording)
+            answer = run(warehouse)
+            monkeypatch.setattr(warehouse.backend, "_connection", connection)
+            assert recording.selects, kind
+            plans[kind] = (answer, [
+                connection.execute(f"EXPLAIN QUERY PLAN {sql}", parameters).fetchall()
+                for sql, parameters in recording.selects
+            ])
+    return plans
+
+
+class TestBulkLoadRun:
+    def _config(self, path):
+        return small_config(storage=StorageConfig(backend="sqlite", path=str(path)))
+
+    def test_a_failing_run_leaves_every_index_built(
+        self, tmp_path, monkeypatch, index_layout
+    ):
+        from repro.core import pipeline
+
+        fresh = tmp_path / "fresh.sqlite"
+        DataWarehouse.open("sqlite", path=str(fresh)).close()
+        outputs = pipeline.iter_shard_outputs
+
+        def failing(*args, **kwargs):
+            for output in outputs(*args, **kwargs):
+                yield output
+                raise RuntimeError("shard 1 failed")
+
+        monkeypatch.setattr(pipeline, "iter_shard_outputs", failing)
+        path = tmp_path / "failed.sqlite"
+        with DataWarehouse.open("sqlite", path=str(path)) as warehouse:
+            with pytest.raises(RuntimeError, match="shard 1 failed"):
+                VitaPipeline(self._config(path)).run_streaming(warehouse=warehouse, flush_every=16)
+            # Shard 0's rows were loaded (several flushes) before the failure.
+            assert len(warehouse.trajectories) > 16
+        assert index_layout(path) == index_layout(fresh)
+
+    def test_a_run_builds_the_indexes_of_a_fresh_file_and_its_query_plans(
+        self, tmp_path, monkeypatch, index_layout
+    ):
+        fresh = tmp_path / "fresh.sqlite"
+        DataWarehouse.open("sqlite", path=str(fresh)).close()
+        from repro.storage.backends.base import StorageBackend
+        from repro.storage.backends.sqlite import SQLiteBackend
+
+        path = tmp_path / "run.sqlite"
+        VitaPipeline(self._config(path)).run_streaming().warehouse.close()
+        # The same run into a file with every index live all along.
+        live = tmp_path / "live.sqlite"
+        with monkeypatch.context() as patched:
+            patched.setattr(SQLiteBackend, "bulk_load", StorageBackend.bulk_load)
+            VitaPipeline(self._config(live)).run_streaming().warehouse.close()
+        assert index_layout(path) == index_layout(fresh) == index_layout(live)
+        loaded, built_live = _query_plans(path, monkeypatch), _query_plans(live, monkeypatch)
+        assert loaded == built_live
+        assert all(answer for answer, _ in loaded.values())
+
+    def test_the_index_build_is_a_span_of_the_run(self, tmp_path):
+        from repro.obs import Telemetry
+
+        telemetry = Telemetry()
+        VitaPipeline(self._config(tmp_path / "traced.sqlite")).run_streaming(
+            telemetry=telemetry
+        ).warehouse.close()
+        spans = {span["name"]: span for span in telemetry.tracer.export()}
+        root = spans["pipeline.run_streaming"]
+        assert spans["storage.build_indexes"]["parent_id"] == root["span_id"]
+        assert telemetry.metrics.histogram("storage.build_indexes_seconds").count == 1
+
+    def test_a_memory_run_builds_no_index(self):
+        from repro.obs import Telemetry
+
+        telemetry = Telemetry()
+        VitaPipeline(small_config()).run_streaming(telemetry=telemetry)
+        assert "storage.build_indexes" not in {span["name"] for span in telemetry.tracer.export()}
+
+
+# --------------------------------------------------------------------------- #
 # Facade and CLI
 # --------------------------------------------------------------------------- #
 class TestVitaGenerate:

@@ -57,3 +57,48 @@ class TestObstacleNoiseProperties:
     def test_more_walls_never_increase_signal(self, fewer, extra):
         model = ObstacleNoiseModel()
         assert model.attenuation_from_counts(fewer + extra, 0) <= model.attenuation_from_counts(fewer, 0)
+
+
+class TestArrayForms:
+    """The array forms the RSSI pass uses equal the one-value formulas bit for bit."""
+
+    @given(exponents, calibrations, st.lists(distances, max_size=40))
+    def test_rssi_batch_equals_the_scalar_formula(self, exponent, calibration, batch):
+        model = PathLossModel(exponent=exponent, calibration_rssi=calibration)
+        expected = [
+            -10.0 * exponent * math.log10(max(d, MIN_TRANSMISSION_DISTANCE)) + calibration
+            for d in batch
+        ]
+        values = model.rssi_batch(batch).tolist()
+        assert [value.hex() for value in values] == [value.hex() for value in expected]
+        assert [model.rssi_at(d).hex() for d in batch] == [value.hex() for value in expected]
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 30), st.integers(0, 10)), max_size=40),
+        st.floats(min_value=0.0, max_value=10.0),
+        st.floats(min_value=0.0, max_value=10.0),
+        st.floats(min_value=0.0, max_value=40.0),
+        st.floats(min_value=0.0, max_value=5.0),
+    )
+    def test_attenuation_batch_equals_the_scalar_formula(
+        self, counts, wall_db, obstacle_db, cap, extra
+    ):
+        model = ObstacleNoiseModel(
+            wall_attenuation_db=wall_db,
+            obstacle_attenuation_db=obstacle_db,
+            max_attenuation_db=cap,
+            non_line_of_sight_extra_db=extra,
+        )
+        expected = []
+        for walls, obstacles in counts:
+            total = walls * wall_db + obstacles * obstacle_db
+            if walls + obstacles > 0:
+                total += extra
+            expected.append(-min(total, cap))
+        walls = [walls for walls, _ in counts]
+        obstacles = [obstacles for _, obstacles in counts]
+        values = model.attenuation_batch(walls, obstacles).tolist()
+        assert [value.hex() for value in values] == [value.hex() for value in expected]
+        assert [
+            model.attenuation_from_counts(*pair).hex() for pair in counts
+        ] == [value.hex() for value in expected]

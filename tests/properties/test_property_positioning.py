@@ -304,8 +304,11 @@ class TestSurveyStd:
     ))
     def test_survey_std_is_statistics_pstdev(self, samples):
         class Generator:
-            def collect_fingerprint(self, floor_id, point, samples=10):
-                return {device_id: list(values) for device_id, values in fingerprint.items()}
+            def collect_fingerprints(self, points, samples=10):
+                return [
+                    {device_id: list(values) for device_id, values in fingerprint.items()}
+                    for _ in points
+                ]
 
         fingerprint = samples
         radio_map = RadioMap.survey(_HALL, Generator(), [(0, Point(1.0, 1.0))])

@@ -500,7 +500,7 @@ class TestOneReadPath:
 
     CONTRACT = {
         "insert_rows", "count", "execute_plan", "time_bounds", "clear", "clear_all",
-        "flush", "close", "describe", "attach_metrics",
+        "flush", "close", "describe", "attach_metrics", "bulk_load",
     }
 
     @staticmethod
